@@ -9,7 +9,8 @@ floating point anywhere.  Characteristic zero is baked in.
 Depth is read off as number-of-variables minus projective dimension.  For a
 graph the oracle works on the lex initial ideal of its edge binomial ideal:
 the initial ideal is squarefree, so depth and regularity of the two quotients
-agree.
+agree, whatever the labeling, and the oracle resolves the initial ideal of
+the cheapest of a few relabelings.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import CapError
-from .graphs import Graph
+from .graphs import Graph, from_edge_list
 from .groebner import GROEBNER_CAP, MonomialIdealSF, initial_ideal
 
 BETTI_VAR_CAP = 20
@@ -308,18 +309,78 @@ def sr_dimension(ideal: MonomialIdealSF) -> int:
 _oracle_cache: dict[tuple[int, frozenset[tuple[int, int]]], tuple[int, int]] = {}
 
 
+def _bfs_order(g: Graph, start: int) -> list[int]:
+    """Breadth-first order from start, neighbours by (degree, label).
+
+    Components the search does not reach follow, each from its first
+    vertex by (degree, label).
+    """
+    def key(v):
+        return (len(g.adj[v]), v)
+
+    roots = sorted(g.vertices(), key=key)
+    order = [start]
+    seen = {start}
+    k = 0
+    while len(order) < g.n:
+        if k == len(order):
+            root = next(v for v in roots if v not in seen)
+            order.append(root)
+            seen.add(root)
+        for w in sorted(g.adj[order[k]] - seen, key=key):
+            order.append(w)
+            seen.add(w)
+        k += 1
+    return order
+
+
+def _oracle_ideal(g: Graph, cap: int = GROEBNER_CAP) -> MonomialIdealSF:
+    """The initial ideal the oracle resolves: the smallest of g's candidate labelings.
+
+    The candidates are the labels as given, then for each vertex the
+    breadth-first order from it and that order reversed, a vertex's new
+    label being its position.  Each is scored by (sum of generator degrees,
+    generator count, candidate index).  A degree sum of 2|E| means the
+    labeling is closed and every generator is an edge's quadric, so the
+    search stops there.
+    """
+    edges = g.edges()
+    closed_sum = 2 * len(edges)
+    orders = [list(g.vertices())]
+    for v in g.vertices():
+        order = _bfs_order(g, v)
+        orders += [order, order[::-1]]
+    best = best_score = None
+    for order in orders:
+        pos = {v: k for k, v in enumerate(order, start=1)}
+        relabeled = from_edge_list(g.n, [(pos[a], pos[b]) for a, b in edges])
+        ideal = initial_ideal(relabeled, cap=cap)
+        score = (sum(len(s) for s in ideal.generators), len(ideal.generators))
+        if best_score is None or score < best_score:
+            best, best_score = ideal, score
+            if score[0] == closed_sum:
+                break
+    return best
+
+
 def oracle_depth_reg(g: Graph, cap: int = GROEBNER_CAP) -> tuple[int, int]:
     """(depth, regularity) of the edge binomial quotient of g, via Hochster.
 
-    Computed on the lex initial ideal in the 2n-variable ring; both values
-    transfer to the binomial ideal itself because the initial ideal is
-    squarefree.  Results are cached per labeled graph.
+    Computed on a lex initial ideal in the 2n-variable ring, taken under the
+    cheapest of a fixed set of relabelings of g (see ``_oracle_ideal``).
+    The initial ideal is squarefree under every labeling, so its depth and
+    regularity equal those of the binomial ideal itself (Conca-Varbaro,
+    square-free Groebner degenerations), and hence do not depend on the
+    labeling; its lcm lattice does, by several times.  Results are cached
+    per labeled graph.
     """
+    if 2 * g.n > BETTI_VAR_CAP:
+        raise CapError("betti table capped", size=2 * g.n, cap=BETTI_VAR_CAP)
     key = (g.n, frozenset(g.edges()))
     hit = _oracle_cache.get(key)
     if hit is not None:
         return hit
-    table = betti_table(initial_ideal(g, cap=cap))
+    table = betti_table(_oracle_ideal(g, cap=cap))
     result = (table.depth, table.reg)
     _oracle_cache[key] = result
     return result

@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +42,7 @@ from .graphs import (
     from_json_dict,
     graph_from_name,
     is_connected,
+    is_free_vertex,
     to_graph6,
     to_json_dict,
 )
@@ -136,7 +138,7 @@ def g2_universe(
     for base_name in bases:
         base = graph_from_name(base_name)
         required = sorted(
-            v for v in base.vertices() if not _is_free(base, v)
+            v for v in base.vertices() if not is_free_vertex(base, v)
         )
         optional = [v for v in base.vertices() if v not in required]
         for k in range(len(optional) + 1):
@@ -152,11 +154,6 @@ def g2_universe(
                     out.append((sid, spec))
     out.sort(key=lambda pair: pair[0])
     return out
-
-
-def _is_free(g: Graph, v: int) -> bool:
-    nb = sorted(g.adj[v])
-    return all(g.has_edge(a, b) for a, b in itertools.combinations(nb, 2))
 
 
 def _depth_reg(g: Graph) -> tuple[int, int]:
@@ -240,7 +237,7 @@ def _build_ws_sweep(opts) -> tuple[str, list[dict]]:
     payloads = []
     for g in _connected_reps(max_base):
         required = frozenset(
-            v for v in g.vertices() if not _is_free(g, v)
+            v for v in g.vertices() if not is_free_vertex(g, v)
         )
         optional = sorted(set(g.vertices()) - required)
         for k in range(len(optional) + 1):
@@ -313,7 +310,7 @@ def _build_exact_seq(opts) -> tuple[str, list[dict]]:
     payloads = []
     for g in _connected_reps(max_n):
         for v in g.vertices():
-            if not _is_free(g, v):
+            if not is_free_vertex(g, v):
                 payloads.append(
                     {"id": f"{to_graph6(g)}@v{v}", "graph": to_json_dict(g), "v": v}
                 )
@@ -455,7 +452,7 @@ def _run_instance(tag: str, payload: dict) -> dict:
         iv0 = invariants.free_vertex_counts(g)[1]
         worst = -1
         for v in g.vertices():
-            if _is_free(g, v):
+            if is_free_vertex(g, v):
                 continue
             triple = decomposition.decompose_at_vertex(g, v)
             worst = max(
@@ -480,19 +477,30 @@ def _pool_entry(item: tuple[str, dict]) -> dict:
     return _run_instance(tag, payload)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_verification(tag: str, jobs: int = 1, **opts) -> VerificationRun:
     """Sweep one tagged statement over its default universe.
 
     opts may carry max_n, max_base, or max_total to resize the universe.
+    jobs asks for that many worker processes; the pool never exceeds the
+    usable CPUs or the instance count, and one worker means a serial run.
     """
     if tag not in _BUILDERS:
         raise UsageError(
             f"unknown verification tag {tag!r}; known: {', '.join(sorted(_BUILDERS))}"
         )
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     universe, payloads = _BUILDERS[tag](opts)
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, _usable_cpus(), len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_pool_entry, [(tag, p) for p in payloads]))
     else:
         records = [_run_instance(tag, p) for p in payloads]
@@ -670,7 +678,7 @@ def _enumerate_specs(args):
     max_base = args.max_base if args.max_base is not None else 3
     if args.cls == "g1":
         for g in _connected_reps(max_base):
-            required = frozenset(v for v in g.vertices() if not _is_free(g, v))
+            required = frozenset(v for v in g.vertices() if not is_free_vertex(g, v))
             optional = sorted(set(g.vertices()) - required)
             for k in range(len(optional) + 1):
                 for extra in itertools.combinations(optional, k):
@@ -682,7 +690,7 @@ def _enumerate_specs(args):
     max_total = args.max_total if args.max_total is not None else 8
     pool = [(name, graph_from_name(name)) for name in names]
     for g in _connected_reps(max_base):
-        required = sorted(v for v in g.vertices() if not _is_free(g, v))
+        required = sorted(v for v in g.vertices() if not is_free_vertex(g, v))
         optional = [v for v in g.vertices() if v not in required]
         for k in range(len(optional) + 1):
             for extra in itertools.combinations(optional, k):

@@ -26,7 +26,7 @@ BUCHBERGER_CAP = 7
 
 @dataclass(frozen=True)
 class AdmissiblePath:
-    """A path i = v_0, ..., v_r = j with i < j whose support induces no cycle.
+    """An induced path i = v_0, ..., v_r = j with i < j.
 
     Interior vertices lie outside [i, j]; interiors above j contribute x
     factors and interiors below i contribute y factors to the coefficient
@@ -51,17 +51,13 @@ class AdmissiblePath:
         return frozenset(xs | ys)
 
 
-def _induces_tree(g: Graph, verts) -> bool:
-    vs = set(verts)
-    inner = sum(1 for u in vs for w in g.adj[u] if w in vs and u < w)
-    return inner == len(vs) - 1
-
-
 def admissible_paths(g: Graph, i: int, j: int) -> list[AdmissiblePath]:
     """All admissible paths from i to j, shortest first.
 
-    Distinctness and the interior range condition are pruned during the walk;
-    the cycle condition is checked on each completed support.
+    A path is admissible when its interior avoids [i, j] and no proper
+    subsequence of it is a path, that is, when it is an induced path.  The
+    walk prunes a branch as soon as the new vertex has a chord to an earlier
+    path vertex, since no extension of that branch is induced.
     """
     g._check_vertex(i)
     g._check_vertex(j)
@@ -74,11 +70,12 @@ def admissible_paths(g: Graph, i: int, j: int) -> list[AdmissiblePath]:
     def extend():
         last = path[-1]
         for w in sorted(g.adj[last]):
+            # w's only neighbour on the path so far must be the last vertex
+            if w in used or len(g.adj[w] & used) > 1:
+                continue
             if w == j:
-                support = path + [w]
-                if _induces_tree(g, support):
-                    found.append(tuple(support))
-            elif (w < i or w > j) and w not in used:
+                found.append(tuple(path) + (w,))
+            elif w < i or w > j:
                 used.add(w)
                 path.append(w)
                 extend()

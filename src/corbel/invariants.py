@@ -43,11 +43,6 @@ def isolated_count(g: Graph) -> int:
     return sum(1 for v in g.vertices() if not g.adj[v])
 
 
-def d_invariant(g: Graph) -> int:
-    """Number of isolated vertices plus the sum of component diameters."""
-    return isolated_count(g) + sum(_component_diameter(g, c) for c in components(g))
-
-
 def free_vertex_counts(g: Graph) -> tuple[int, int, frozenset[int], frozenset[int]]:
     """(f, iv, free set, non-free set); f + iv = n."""
     free = frozenset(v for v in g.vertices() if is_free_vertex(g, v))

@@ -1,12 +1,22 @@
 """Homological oracle: lcm-lattice Betti numbers, depth, reg, dimension."""
 
 import itertools
+import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corbel import betti
+from corbel.constructions import whisker
 from corbel.errors import CapError
-from corbel.graphs import disjoint_union, from_edge_list, graph_from_name
+from corbel.graphs import (
+    disjoint_union,
+    enumerate_connected_graphs,
+    from_edge_list,
+    graph_from_name,
+    to_graph6,
+)
 from corbel.groebner import MonomialIdealSF, initial_ideal
 from corbel.betti import (
     BETTI_VAR_CAP,
@@ -139,3 +149,67 @@ def test_oracle_is_graph_label_invariant(perm):
         5, [(perm[u - 1], perm[v - 1]) for u, v in base.edges()]
     )
     assert oracle_depth_reg(relabeled) == oracle_depth_reg(base)
+
+
+def _oracle_graphs():
+    """Connected graphs on at most 5 vertices, a seeded relabeling of each, W(P3)."""
+    rng = random.Random(20260218)
+    out = []
+    for g in enumerate_connected_graphs(5):
+        perm = list(g.vertices())
+        rng.shuffle(perm)
+        shuffled = from_edge_list(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+        out += [(to_graph6(g), g), (f"{to_graph6(g)}-shuffled", shuffled)]
+    out.append(("W(p3)", whisker(graph_from_name("p3"))[1]))
+    return out
+
+
+ORACLE_GRAPHS = _oracle_graphs()
+
+
+@pytest.mark.parametrize("g", [g for _, g in ORACLE_GRAPHS], ids=[k for k, _ in ORACLE_GRAPHS])
+def test_oracle_matches_the_input_labels(g):
+    # the oracle resolves a relabeled initial ideal; depth and regularity
+    # must be those of the initial ideal on the labels as given
+    t = betti_table(initial_ideal(g))
+    assert oracle_depth_reg(g) == (t.depth, t.reg)
+
+
+def test_oracle_caps_before_any_initial_ideal(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("initial ideal built for a capped graph")
+
+    monkeypatch.setattr(betti, "initial_ideal", forbidden)
+    with pytest.raises(CapError):
+        oracle_depth_reg(graph_from_name(f"p{BETTI_VAR_CAP // 2 + 1}"))
+
+
+def _k_polynomial_of_table(table):
+    coeffs = [0] * (table.n_vars + 1)
+    for (i, j), val in table.entries:
+        coeffs[j] += (-1) ** i * val
+    return coeffs
+
+
+def _k_polynomial_of_faces(ideal):
+    """Sum over faces F of the Stanley-Reisner complex of t^|F| (1-t)^(n-|F|)."""
+    n = ideal.n_vars
+    masks = [sum(1 << (v - 1) for v in s) for s in ideal.generators]
+    f_vector = [0] * (n + 1)
+    for face in range(1 << n):
+        if not any(m & face == m for m in masks):
+            f_vector[bin(face).count("1")] += 1
+    coeffs = [0] * (n + 1)
+    for k, count in enumerate(f_vector):
+        for m in range(n - k + 1):
+            coeffs[k + m] += count * (-1) ** m * comb(n - k, m)
+    return coeffs
+
+
+@pytest.mark.parametrize("g", [g for _, g in ORACLE_GRAPHS], ids=[k for k, _ in ORACLE_GRAPHS])
+def test_k_polynomial_identity(g):
+    # sum of (-1)^i b_ij t^j equals the face count expansion (Miller-Sturmfels
+    # ch. 1 and 5); checked on the ideal the oracle resolves and on the
+    # initial ideal under the labels as given
+    for ideal in (betti._oracle_ideal(g), initial_ideal(g)):
+        assert _k_polynomial_of_table(betti_table(ideal)) == _k_polynomial_of_faces(ideal)

@@ -6,7 +6,9 @@ import contextlib
 
 import pytest
 
-from corbel.cli import main
+from corbel import cli
+from corbel.cli import main, run_verification
+from corbel.errors import UsageError
 
 
 def run_cli(*argv):
@@ -129,6 +131,48 @@ def test_verify_unknown_tag():
     rc, _, err = run_cli("verify", "bogus-tag")
     assert rc == 2
     assert "unknown verification tag" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(jobs):
+    rc, _, err = run_cli("verify", "enum", "--jobs", jobs)
+    assert rc == 2
+    assert "jobs" in err
+    with pytest.raises(UsageError):
+        run_verification("enum", jobs=int(jobs))
+
+
+def test_pool_is_clamped_to_cpus_and_instances(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    serial = run_verification("enum", max_n=5)
+    assert sizes == []
+    pooled = run_verification("enum", jobs=5000, max_n=5)
+    assert sizes == [3]
+    assert pooled.records == serial.records
+    run_verification("enum", jobs=5000, max_n=2)
+    assert sizes == [3, 2]
+    # one instance or one job runs serially, without a pool
+    run_verification("enum", jobs=5000, max_n=1)
+    run_verification("enum", jobs=1, max_n=5)
+    assert sizes == [3, 2]
 
 
 def test_enumerate_streams_specs():

@@ -41,6 +41,18 @@ def test_interior_vertex_rule():
     assert len(paths) == 1
 
 
+def test_complete_graphs_have_only_edge_paths():
+    # every longer path in K_n has a chord, so it is not induced
+    for n in range(2, 8):
+        k = graph_from_name(f"k{n}")
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert [p.vertices for p in admissible_paths(k, i, j)] == [(i, j)]
+    gens = initial_ideal(graph_from_name("k10")).generators
+    assert len(gens) == 45
+    assert all(len(s) == 2 for s in gens)
+
+
 def test_initial_ideal_supports_c4():
     # edges give x_i y_j; the two length-2 paths carry one extra variable
     gens = sorted(sorted(s) for s in initial_ideal(graph_from_name("c4")).generators)
