@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import os
 import sys
@@ -23,26 +22,24 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import betti, decomposition, formulas, groebner, invariants
+from . import betti, decomposition, formulas, invariants
+# g2_universe is imported for callers that reach it as corbel.cli.g2_universe
+from .checks import ATTACHMENT_POOL, CHECKS, g2_universe  # noqa: F401
 from .constructions import (
     GenCoronaSpec,
     class_membership,
+    covered_coronas,
+    covering_sets,
     spec_from_json_dict,
-    whisker,
-    whisker_matching_labeling,
     whisker_on_set,
 )
 from .errors import CapError, InputError, ParseError, UsageError
 from .graphs import (
-    CONNECTED_GRAPH_COUNTS,
     Graph,
-    disjoint_union,
     enumerate_connected_graphs,
     from_graph6,
     from_json_dict,
     graph_from_name,
-    is_connected,
-    is_free_vertex,
     to_graph6,
     to_json_dict,
 )
@@ -84,399 +81,6 @@ class VerificationRun:
         }
 
 
-def _record(instance_id: str, formula, oracle, ok: bool) -> dict:
-    return {
-        "id": instance_id,
-        "formula": formula,
-        "oracle": oracle,
-        "verdict": "pass" if ok else "fail",
-    }
-
-
-def _connected_reps(max_n: int) -> list[Graph]:
-    if max_n < 1:
-        return []
-    return list(enumerate_connected_graphs(max_n))
-
-
-def _all_graph_classes(max_n: int) -> list[Graph]:
-    """One representative per isomorphism class of all graphs on <= max_n vertices."""
-    conn = _connected_reps(max_n)
-    out: list[Graph] = []
-
-    def rec(budget: int, start: int, acc: list[Graph]) -> None:
-        if acc:
-            g = acc[0]
-            for other in acc[1:]:
-                g = disjoint_union(g, other)
-            out.append(g)
-        for k in range(start, len(conn)):
-            if conn[k].n <= budget:
-                rec(budget - conn[k].n, k, acc + [conn[k]])
-
-    rec(max_n, 0, [])
-    return out
-
-
-ATTACHMENT_POOL = ("k1", "k2", "p3", "2k1")
-CRITERION_BASES = ("k2", "k3", "p3")
-
-
-def g2_universe(
-    bases=CRITERION_BASES,
-    attachments=ATTACHMENT_POOL,
-    max_total: int = 8,
-) -> list[tuple[str, GenCoronaSpec]]:
-    """Covered corona specs over the named bases, bounded by total size.
-
-    Every subset S of base vertices containing all non-free ones is used,
-    with every assignment of named attachments to S, kept when the composite
-    stays within max_total vertices.  Deterministic order.
-    """
-    pool = [(name, graph_from_name(name)) for name in attachments]
-    out = []
-    for base_name in bases:
-        base = graph_from_name(base_name)
-        required = sorted(
-            v for v in base.vertices() if not is_free_vertex(base, v)
-        )
-        optional = [v for v in base.vertices() if v not in required]
-        for k in range(len(optional) + 1):
-            for extra in itertools.combinations(optional, k):
-                s = tuple(sorted(set(required) | set(extra)))
-                for assign in itertools.product(pool, repeat=len(s)):
-                    total = base.n + sum(g.n for _, g in assign)
-                    if total > max_total:
-                        continue
-                    spec = GenCoronaSpec(base, s, tuple(g for _, g in assign))
-                    names = ",".join(name for name, _ in assign)
-                    sid = f"{base_name}|S={','.join(map(str, s)) or '-'}|H={names or '-'}"
-                    out.append((sid, spec))
-    out.sort(key=lambda pair: pair[0])
-    return out
-
-
-def _depth_reg(g: Graph) -> tuple[int, int]:
-    return betti.oracle_depth_reg(g)
-
-
-def _is_cm(g: Graph) -> bool:
-    depth, _ = _depth_reg(g)
-    return depth == decomposition.dimension(g, 2).value
-
-
-# --- payload builders, one per tag ----------------------------------------
-
-
-def _build_gb_oracle(opts) -> tuple[str, list[dict]]:
-    max_n = opts.get("max_n") or 6
-    payloads = [
-        {"id": to_graph6(g), "graph": to_json_dict(g)}
-        for g in _connected_reps(max_n)
-    ]
-    return f"connected graphs on at most {max_n} vertices", payloads
-
-
-def _build_depth_sandwich(opts) -> tuple[str, list[dict]]:
-    max_n = opts.get("max_n") or 5
-    payloads = [
-        {"id": to_graph6(g), "graph": to_json_dict(g)}
-        for g in _connected_reps(max_n)
-    ]
-    return f"connected graphs on at most {max_n} vertices", payloads
-
-
-def _build_g2_sweep(opts) -> tuple[str, list[dict]]:
-    # The depth lower bounds assume connected attachments, so the sweep
-    # drops instances with a disconnected block (2K1 stays in the pool for
-    # the CM and dimension sweeps, which have no such hypothesis).
-    max_total = opts.get("max_total") or 8
-    univ = g2_universe(max_total=max_total)
-    payloads = [
-        {"id": sid, "spec": spec.to_json_dict()}
-        for sid, spec in univ
-        if all(is_connected(h) for h in spec.attachments)
-    ]
-    return (
-        f"covered coronas over K2, K3, P3 with at most {max_total} vertices"
-        " and connected attachments",
-        payloads,
-    )
-
-
-def _build_whisker_sweep(opts) -> tuple[str, list[dict]]:
-    max_base = opts.get("max_base") or 4
-    payloads = []
-    for g in _connected_reps(max_base):
-        spec, _ = whisker(g)
-        payloads.append(
-            {"id": f"W({to_graph6(g)})", "spec": spec.to_json_dict()}
-        )
-    return f"whiskers over connected graphs on at most {max_base} vertices", payloads
-
-
-def _build_whisker_gapfree(opts) -> tuple[str, list[dict]]:
-    max_base = opts.get("max_base") or 4
-    payloads = []
-    for g in _connected_reps(max_base):
-        rep = invariants.invariant_report(g)
-        if not rep.gap_free:
-            continue
-        spec, _ = whisker(g)
-        payloads.append(
-            {"id": f"W({to_graph6(g)})", "spec": spec.to_json_dict(), "p": g.n}
-        )
-    return (
-        f"whiskers over gap-free connected graphs on at most {max_base} vertices",
-        payloads,
-    )
-
-
-def _build_ws_sweep(opts) -> tuple[str, list[dict]]:
-    max_base = opts.get("max_base") or 4
-    payloads = []
-    for g in _connected_reps(max_base):
-        required = frozenset(
-            v for v in g.vertices() if not is_free_vertex(g, v)
-        )
-        optional = sorted(set(g.vertices()) - required)
-        for k in range(len(optional) + 1):
-            for extra in itertools.combinations(optional, k):
-                s = tuple(sorted(required | set(extra)))
-                spec, _ = whisker_on_set(g, s)
-                sid = f"W_{{{','.join(map(str, s)) or '-'}}}({to_graph6(g)})"
-                payloads.append({"id": sid, "spec": spec.to_json_dict()})
-    payloads.sort(key=lambda p: p["id"])
-    return (
-        f"partial whiskers covering all non-free vertices, base at most {max_base} vertices",
-        payloads,
-    )
-
-
-def _build_hyper_bound(opts) -> tuple[str, list[dict]]:
-    max_n = opts.get("max_n") or 5
-    payloads = [
-        {"id": to_graph6(g), "kind": "sweep", "graph": to_json_dict(g)}
-        for g in _connected_reps(max_n)
-    ]
-    for name in ("k2", "p3", "k3"):
-        g = graph_from_name(name)
-        labeled = whisker_matching_labeling(g)
-        payloads.append(
-            {
-                "id": f"labeled:W({name})",
-                "kind": "labeling",
-                "graph": to_json_dict(labeled),
-                "p": g.n,
-            }
-        )
-    return (
-        f"connected graphs on at most {max_n} vertices plus labeled whiskers",
-        payloads,
-    )
-
-
-def _build_cm_class(opts) -> tuple[str, list[dict]]:
-    max_total = opts.get("max_total") or 8
-    univ = g2_universe(max_total=max_total)
-    payloads = []
-    for sid, spec in univ:
-        if spec.base.num_edges() == 0:
-            continue
-        payloads.append({"id": sid, "spec": spec.to_json_dict()})
-    return (
-        f"connected covered coronas with non-empty base, at most {max_total} vertices",
-        payloads,
-    )
-
-
-def _build_dim_check(opts) -> tuple[str, list[dict]]:
-    max_total = opts.get("max_total") or 8
-    payloads = []
-    for sid, spec in g2_universe(max_total=max_total):
-        if spec.base.is_complete():
-            payloads.append({"id": sid, "kind": "spec", "spec": spec.to_json_dict()})
-    for n in range(1, 6):
-        for m in range(2, 5):
-            payloads.append({"id": f"k{n},m={m}", "kind": "complete", "n": n, "m": m})
-    return (
-        f"complete-base coronas at most {max_total} vertices, plus complete graphs",
-        payloads,
-    )
-
-
-def _build_exact_seq(opts) -> tuple[str, list[dict]]:
-    max_n = opts.get("max_n") or 4
-    payloads = []
-    for g in _connected_reps(max_n):
-        for v in g.vertices():
-            if not is_free_vertex(g, v):
-                payloads.append(
-                    {"id": f"{to_graph6(g)}@v{v}", "graph": to_json_dict(g), "v": v}
-                )
-    return (
-        f"connected graphs on at most {max_n} vertices, each non-free vertex",
-        payloads,
-    )
-
-
-def _build_iv_drop(opts) -> tuple[str, list[dict]]:
-    max_n = opts.get("max_n") or 6
-    payloads = [
-        {"id": to_graph6(g), "graph": to_json_dict(g)}
-        for g in _all_graph_classes(max_n)
-    ]
-    return f"all graphs on at most {max_n} vertices", payloads
-
-
-def _build_enum(opts) -> tuple[str, list[dict]]:
-    max_n = opts.get("max_n") or 6
-    payloads = [{"id": f"n={n}", "n": n} for n in range(1, max_n + 1)]
-    return f"connected graph counts for n up to {max_n}", payloads
-
-
-_BUILDERS = {
-    "gb-oracle": _build_gb_oracle,
-    "thm2.4": _build_depth_sandwich,
-    "thm2.5": _build_depth_sandwich,
-    "thm3.2": _build_g2_sweep,
-    "thm3.3": _build_whisker_sweep,
-    "thm3.5": _build_g2_sweep,
-    "thm4.2": _build_ws_sweep,
-    "thm4.3": _build_hyper_bound,
-    "thm4.6": _build_whisker_gapfree,
-    "thm5.6": _build_cm_class,
-    "lem5.1": _build_dim_check,
-    "exact-seq": _build_exact_seq,
-    "iv-drop": _build_iv_drop,
-    "enum": _build_enum,
-}
-
-
-def _run_instance(tag: str, payload: dict) -> dict:
-    """Evaluate one sweep instance; pure function of the payload."""
-    pid = payload["id"]
-    if tag == "gb-oracle":
-        g = from_json_dict(payload["graph"])
-        paths_ideal = groebner.initial_ideal(g)
-        buch = groebner.buchberger_oracle(g)
-        return _record(
-            pid,
-            len(paths_ideal.generators),
-            len(buch.generators),
-            paths_ideal == buch,
-        )
-    if tag == "thm2.4":
-        g = from_json_dict(payload["graph"])
-        bound = formulas.depth_lower_bound_general(g, 2).value
-        depth, _ = _depth_reg(g)
-        return _record(pid, bound, depth, depth >= bound)
-    if tag == "thm2.5":
-        g = from_json_dict(payload["graph"])
-        bound = formulas.depth_upper_bound_kappa(g, 2).value
-        depth, _ = _depth_reg(g)
-        return _record(pid, bound, depth, depth <= bound)
-    if tag == "thm3.2":
-        spec = spec_from_json_dict(payload["spec"])
-        bound = formulas.depth_lower_bound_g2_gen(spec, 2).value
-        depth, _ = _depth_reg(spec.composite())
-        return _record(pid, bound, depth, depth >= bound)
-    if tag == "thm3.3":
-        spec = spec_from_json_dict(payload["spec"])
-        depths = [_depth_reg(h)[0] for h in spec.attachments]
-        value = formulas.depth_equality_gprime(spec, 2, depth_of_h=depths).value
-        depth, _ = _depth_reg(spec.composite())
-        return _record(pid, value, depth, depth == value)
-    if tag == "thm3.5":
-        spec = spec_from_json_dict(payload["spec"])
-        depths = [_depth_reg(h)[0] for h in spec.attachments]
-        bound = formulas.depth_lower_bound_g2_binom(spec, depths).value
-        depth, _ = _depth_reg(spec.composite())
-        return _record(pid, bound, depth, depth >= bound)
-    if tag == "thm4.2":
-        spec = spec_from_json_dict(payload["spec"])
-        bound = formulas.reg_upper_bound_g1(spec, 2).value
-        _, reg = _depth_reg(spec.composite())
-        return _record(pid, bound, reg, reg <= bound)
-    if tag == "thm4.3":
-        g = from_json_dict(payload["graph"])
-        ideal = groebner.initial_ideal(g)
-        bound, _ = invariants.hypergraph_induced_matching_bound(ideal)
-        if payload["kind"] == "labeling":
-            target = payload["p"] + 1
-            return _record(pid, bound, target, bound >= target)
-        _, reg = _depth_reg(g)
-        return _record(pid, bound, reg, bound <= reg)
-    if tag == "thm4.6":
-        spec = spec_from_json_dict(payload["spec"])
-        value = payload["p"] + 1
-        _, reg = _depth_reg(spec.composite())
-        return _record(pid, value, reg, reg == value)
-    if tag == "thm5.6":
-        spec = spec_from_json_dict(payload["spec"])
-        cm_flags = [_is_cm(h) for h in spec.attachments]
-        verdict = decomposition.classify_cm(spec, 2, cm_flags)
-        composite = spec.composite()
-        depth, _ = _depth_reg(composite)
-        dim = decomposition.dimension(composite, 2).value
-        oracle_cm = depth == dim
-        return _record(pid, verdict.is_cm, oracle_cm, verdict.is_cm == oracle_cm)
-    if tag == "lem5.1":
-        if payload["kind"] == "complete":
-            n, m = payload["n"], payload["m"]
-            g = graph_from_name(f"k{n}")
-            value = decomposition.dimension(g, m).value
-            return _record(pid, n + m - 1, value, value == n + m - 1)
-        spec = spec_from_json_dict(payload["spec"])
-        dims = [decomposition.dimension(h, 2).value for h in spec.attachments]
-        value = formulas.dim_g2prime(spec, dims).value
-        dim = decomposition.dimension(spec.composite(), 2).value
-        return _record(pid, value, dim, value == dim)
-    if tag == "exact-seq":
-        g = from_json_dict(payload["graph"])
-        triple = decomposition.decompose_at_vertex(g, payload["v"])
-        d0, r0 = _depth_reg(g)
-        dv, rv = _depth_reg(triple.completed)
-        dm, rm = _depth_reg(triple.deleted)
-        dvm, rvm = _depth_reg(triple.completed_deleted)
-        depth_ok = d0 >= min(dv, dm, dvm + 1)
-        reg_ok = r0 <= max(rv, rm, rvm + 1)
-        return _record(
-            pid,
-            {"depth_floor": min(dv, dm, dvm + 1), "reg_ceil": max(rv, rm, rvm + 1)},
-            {"depth": d0, "reg": r0},
-            depth_ok and reg_ok,
-        )
-    if tag == "iv-drop":
-        g = from_json_dict(payload["graph"])
-        iv0 = invariants.free_vertex_counts(g)[1]
-        worst = -1
-        for v in g.vertices():
-            if is_free_vertex(g, v):
-                continue
-            triple = decomposition.decompose_at_vertex(g, v)
-            worst = max(
-                worst,
-                invariants.free_vertex_counts(triple.completed)[1],
-                invariants.free_vertex_counts(triple.deleted)[1],
-                invariants.free_vertex_counts(triple.completed_deleted)[1],
-            )
-        if worst < 0:
-            return _record(pid, iv0, None, True)
-        return _record(pid, iv0, worst, worst < iv0)
-    if tag == "enum":
-        n = payload["n"]
-        count = sum(1 for g in enumerate_connected_graphs(n) if g.n == n)
-        expected = CONNECTED_GRAPH_COUNTS[n - 1]
-        return _record(pid, expected, count, count == expected)
-    raise UsageError(f"unknown verification tag {tag!r}")
-
-
-def _pool_entry(item: tuple[str, dict]) -> dict:
-    tag, payload = item
-    return _run_instance(tag, payload)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -486,26 +90,34 @@ def _usable_cpus() -> int:
 def run_verification(tag: str, jobs: int = 1, **opts) -> VerificationRun:
     """Sweep one tagged statement over its default universe.
 
-    opts may carry max_n, max_base, or max_total to resize the universe.
-    jobs asks for that many worker processes; the pool never exceeds the
-    usable CPUs or the instance count, and one worker means a serial run.
+    opts may carry the one size option the tag reads (max_n, max_base or
+    max_total, see ``corbel.checks.CHECKS``) to resize the universe; any
+    other option, or a size below 1, is a usage error.  jobs asks for that
+    many worker processes; the pool never exceeds the usable CPUs or the
+    instance count, and one worker means a serial run.
     """
-    if tag not in _BUILDERS:
+    check = CHECKS.get(tag)
+    if check is None:
         raise UsageError(
-            f"unknown verification tag {tag!r}; known: {', '.join(sorted(_BUILDERS))}"
+            f"unknown verification tag {tag!r}; known: {', '.join(sorted(CHECKS))}"
         )
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
+    flag = "--" + check.size.replace("_", "-")
+    if set(opts) - {check.size}:
+        raise UsageError(f"{tag} reads no size option other than {flag}")
+    size = opts.get(check.size, check.default)
+    if size < 1:
+        raise UsageError(f"{flag} must be at least 1, got {size}")
     start = time.perf_counter()
-    universe, payloads = _BUILDERS[tag](opts)
+    universe, payloads = check.universe(size)
     workers = min(jobs, _usable_cpus(), len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_pool_entry, [(tag, p) for p in payloads]))
+            records = list(pool.map(check.evaluate, payloads))
     else:
-        records = [_run_instance(tag, p) for p in payloads]
-    run = VerificationRun(tag, universe, records, time.perf_counter() - start)
-    return run
+        records = [check.evaluate(p) for p in payloads]
+    return VerificationRun(tag, universe, records, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +163,7 @@ def analyze_report(
     if with_oracle:
         if m != 2:
             raise InputError("the homological oracle supports m = 2 only")
-        depth, reg = _depth_reg(g)
+        depth, reg = betti.oracle_depth_reg(g)
         oracle_vals = {"depth": depth, "reg": reg}
 
     if spec is not None:
@@ -567,7 +179,7 @@ def analyze_report(
             if len(spec.attach_set) == base.n and base_rep.gap_free and m == 2:
                 bounds.append(formulas.reg_gapfree_whisker(base))
         if membership.in_g2 and m == 2 and with_oracle:
-            depths = [_depth_reg(h)[0] for h in spec.attachments]
+            depths = [betti.oracle_depth_reg(h)[0] for h in spec.attachments]
             bounds.append(formulas.depth_lower_bound_g2_binom(spec, depths))
             full = class_membership(spec, depth_of_h=depths, m=m)
             if full.in_gprime:
@@ -677,29 +289,16 @@ def _enumerate_specs(args):
         return
     max_base = args.max_base if args.max_base is not None else 3
     if args.cls == "g1":
-        for g in _connected_reps(max_base):
-            required = frozenset(v for v in g.vertices() if not is_free_vertex(g, v))
-            optional = sorted(set(g.vertices()) - required)
-            for k in range(len(optional) + 1):
-                for extra in itertools.combinations(optional, k):
-                    s = tuple(sorted(required | set(extra)))
-                    spec, _ = whisker_on_set(g, s)
-                    yield spec
+        for g in enumerate_connected_graphs(max_base):
+            for s in covering_sets(g):
+                yield whisker_on_set(g, s)[0]
         return
     names = tuple(x.strip() for x in args.attachments.split(",") if x.strip())
     max_total = args.max_total if args.max_total is not None else 8
     pool = [(name, graph_from_name(name)) for name in names]
-    for g in _connected_reps(max_base):
-        required = sorted(v for v in g.vertices() if not is_free_vertex(g, v))
-        optional = [v for v in g.vertices() if v not in required]
-        for k in range(len(optional) + 1):
-            for extra in itertools.combinations(optional, k):
-                s = tuple(sorted(set(required) | set(extra)))
-                for assign in itertools.product(pool, repeat=len(s)):
-                    total = g.n + sum(h.n for _, h in assign)
-                    if total > max_total:
-                        continue
-                    yield GenCoronaSpec(g, s, tuple(h for _, h in assign))
+    for g in enumerate_connected_graphs(max_base):
+        for _, spec in covered_coronas(g, pool, max_total):
+            yield spec
 
 
 def cmd_enumerate(args) -> int:
@@ -729,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_ve = sub.add_parser("verify", help="sweep one tagged statement against the oracle")
-    p_ve.add_argument("tag", help="one of: " + ", ".join(sorted(_BUILDERS)))
+    p_ve.add_argument("tag", help="one of: " + ", ".join(sorted(CHECKS)))
     p_ve.add_argument("--m", type=int, default=2)
     p_ve.add_argument("--max-n", type=int, dest="max_n")
     p_ve.add_argument("--max-base", type=int, dest="max_base")

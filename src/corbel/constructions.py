@@ -10,6 +10,7 @@ non-free base vertex.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -92,6 +93,34 @@ def _composite_of(spec: GenCoronaSpec) -> Graph:
 def non_free_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose neighborhood is not a clique."""
     return frozenset(v for v in g.vertices() if not is_free_vertex(g, v))
+
+
+def covering_sets(g: Graph):
+    """Yield every vertex set S of g that contains all non-free vertices.
+
+    Each S is a sorted tuple.  Sets with fewer free vertices come first, and
+    sets of one size follow ``itertools.combinations`` order on the free ones.
+    """
+    required = non_free_vertices(g)
+    optional = sorted(set(g.vertices()) - required)
+    for k in range(len(optional) + 1):
+        for extra in itertools.combinations(optional, k):
+            yield tuple(sorted(required | set(extra)))
+
+
+def covered_coronas(base: Graph, pool, max_total: int):
+    """Yield every covered corona over base with attachments drawn from pool.
+
+    pool is a sequence of (name, graph) pairs.  For each S from
+    ``covering_sets(base)``, every assignment of pool entries to the vertices
+    of S is tried in ``itertools.product`` order, and kept when the composite
+    has at most max_total vertices.  Yields (attachment names, spec).
+    """
+    for s in covering_sets(base):
+        for assign in itertools.product(pool, repeat=len(s)):
+            if base.n + sum(h.n for _, h in assign) <= max_total:
+                names = tuple(name for name, _ in assign)
+                yield names, GenCoronaSpec(base, s, tuple(h for _, h in assign))
 
 
 def whisker(g: Graph) -> tuple[GenCoronaSpec, Graph]:

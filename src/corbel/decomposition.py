@@ -46,26 +46,6 @@ class Cutset:
         }
 
 
-def _components_within(g: Graph, vs) -> list[frozenset[int]]:
-    vs = set(vs)
-    seen: set[int] = set()
-    parts = []
-    for s in sorted(vs):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in vs and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        parts.append(frozenset(comp))
-    return parts
-
-
 def enumerate_cutsets(g: Graph, cap: int = CUTSET_CAP) -> list[Cutset]:
     """All cutsets, sorted by size then lexicographically."""
     if g.n > cap:
@@ -75,10 +55,10 @@ def enumerate_cutsets(g: Graph, cap: int = CUTSET_CAP) -> list[Cutset]:
     for size in range(g.n + 1):
         for t in itertools.combinations(sorted(allv), size):
             tset = set(t)
-            parts = _components_within(g, allv - tset)
+            parts = connected_components(g, allv - tset)
             ok = True
             for v in t:
-                if len(parts) <= len(_components_within(g, allv - (tset - {v}))):
+                if len(parts) <= len(connected_components(g, allv - (tset - {v}))):
                     ok = False
                     break
             if ok:

@@ -198,11 +198,16 @@ def is_free_vertex(g: Graph, v: int) -> bool:
     return all(g.has_edge(a, b) for a, b in itertools.combinations(nbrs, 2))
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, ordered by smallest member."""
+def connected_components(g: Graph, within=None) -> list[frozenset[int]]:
+    """Vertex sets of the connected components, ordered by smallest member.
+
+    With ``within``, the components of the subgraph induced on those
+    vertices, which keep their labels.
+    """
+    vs = set(g.vertices() if within is None else within)
     seen: set[int] = set()
     parts = []
-    for start in g.vertices():
+    for start in sorted(vs):
         if start in seen:
             continue
         comp = {start}
@@ -210,7 +215,7 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
         while stack:
             u = stack.pop()
             for w in g.adj[u]:
-                if w not in comp:
+                if w in vs and w not in comp:
                     comp.add(w)
                     stack.append(w)
         seen |= comp

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapError, InputError
-from .graphs import Graph, connected_components, induced_subgraph, is_free_vertex
-
-
-def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components as vertex sets, ordered by smallest member."""
-    return connected_components(g)
+from .graphs import Graph, connected_components, is_free_vertex
 
 
 def _component_diameter(g: Graph, comp: frozenset[int]) -> int:
@@ -121,8 +116,7 @@ def vertex_connectivity(g: Graph) -> KappaResult:
     verts = list(g.vertices())
     for k in range(1, g.n - 1):
         for cut in itertools.combinations(verts, k):
-            sub, _ = induced_subgraph(g, set(verts) - set(cut))
-            if len(connected_components(sub)) > 1:
+            if len(connected_components(g, set(verts) - set(cut))) > 1:
                 return KappaResult(k, False)
     raise RuntimeError("unreachable: non-complete connected graph has a cut")
 
@@ -160,7 +154,7 @@ class InvariantReport:
 
 
 def invariant_report(g: Graph) -> InvariantReport:
-    comps = components(g)
+    comps = connected_components(g)
     iso = isolated_count(g)
     diam_sum = sum(_component_diameter(g, c) for c in comps)
     f, iv, _, _ = free_vertex_counts(g)

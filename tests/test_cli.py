@@ -142,6 +142,24 @@ def test_verify_rejects_jobs_below_one(jobs):
         run_verification("enum", jobs=int(jobs))
 
 
+@pytest.mark.parametrize(
+    "tag, opts",
+    [
+        ("thm2.4", {"max_n": 0}),
+        ("thm2.4", {"max_n": -1}),
+        ("thm3.2", {"max_n": 3}),
+    ],
+)
+def test_verify_rejects_bad_size_options(tag, opts):
+    argv = [f"--{k.replace('_', '-')}={v}" for k, v in opts.items()]
+    rc, out, err = run_cli("verify", tag, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err
+    with pytest.raises(UsageError):
+        run_verification(tag, **opts)
+
+
 def test_pool_is_clamped_to_cpus_and_instances(monkeypatch):
     sizes = []
 

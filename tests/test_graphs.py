@@ -1,5 +1,7 @@
 """Graph container, graph6 codec, isomorphism, and enumeration."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -143,3 +145,14 @@ def test_connected_enumeration_counts():
     assert got == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
     seen = [canonical_form(g) for g in enumerate_connected_graphs(4)]
     assert len(seen) == len(set(seen))
+
+
+def test_components_within_match_the_induced_subgraph():
+    for g in enumerate_connected_graphs(6):
+        for k in (1, 2):
+            for dropped in itertools.combinations(g.vertices(), k):
+                keep = set(g.vertices()) - set(dropped)
+                sub, label = induced_subgraph(g, keep)
+                back = {new: old for old, new in label.items()}
+                want = [frozenset(back[v] for v in c) for c in connected_components(sub)]
+                assert connected_components(g, keep) == want
