@@ -15,8 +15,6 @@ the cheapest of a few relabelings.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
@@ -43,11 +41,22 @@ def lcm_lattice(ideal: MonomialIdealSF, cap: int = LATTICE_CAP) -> list[frozense
 # ---------------------------------------------------------------------------
 # reduced homology of a restricted Stanley-Reisner complex
 #
-# A restriction is described by its vertex count s and the local generator
-# bitmasks; faces are the subsets containing no generator mask.  The e-vector
+# A restriction is described by a vertex bitmask and generator bitmasks;
+# faces are the vertex subsets containing no generator.  The e-vector
 # e[k] = rank of reduced homology in degree k-1 multiplies under joins, and a
-# restriction splits as a join over connected clusters of generators, so each
-# cluster is computed once and cached.
+# restriction splits as a join over connected clusters of generators.  A
+# cluster renumbered onto vertices 0..s-1 is keyed by (s, masks) in the cache.
+#
+# A cluster goes strip -> recluster -> ranks.  Strip: a vertex u whose link
+# is a cone is deleted, which keeps the homotopy type (a strong collapse;
+# Barmak-Minian, DCG 47, 2012).  The link of u has the ideal (I : x_u) on the
+# other vertices, and it is a cone when a surviving vertex lies in no minimal
+# generator of that colon.  Deleting u drops every generator containing u;
+# once a vertex is left in no generator, the cluster is a cone and has no
+# homology.  Recluster: if the strip deleted a vertex, the survivors split
+# into clusters again, each looked up or computed the same way under its own
+# key.  Ranks: a cluster with nothing to strip is enumerated face by face and
+# its homology read off the ranks of its boundary maps.
 
 _cluster_cache: dict[tuple[int, frozenset[int]], tuple[int, ...]] = {}
 
@@ -82,90 +91,24 @@ def _matrix_rank(columns: list[dict[int, int]]) -> int:
     return rank
 
 
-def _faces_by_level(s: int, gen_masks: tuple[int, ...]) -> list[list[int]]:
-    gens_by_v = [[] for _ in range(s)]
-    for gm in gen_masks:
-        for v in range(s):
-            if gm >> v & 1:
-                gens_by_v[v].append(gm)
+def _faces_by_level(s: int, gen_masks: frozenset[int]) -> list[list[int]]:
+    gens_by_v = [[gm for gm in gen_masks if gm >> v & 1] for v in range(s)]
     levels = [[0]]
     while True:
-        prev = levels[-1]
         nxt = []
-        for fmask in prev:
-            top = fmask.bit_length()
-            for v in range(top, s):
-                cand = fmask | (1 << v)
-                ok = True
-                for gm in gens_by_v[v]:
-                    if gm & cand == gm:
-                        ok = False
-                        break
-                if ok:
+        for fmask in levels[-1]:
+            for v in range(fmask.bit_length(), s):
+                cand = fmask | 1 << v
+                if not any(gm & cand == gm for gm in gens_by_v[v]):
                     nxt.append(cand)
         if not nxt:
             return levels
         levels.append(nxt)
 
 
-def _collapse(face_masks: set[int], s: int) -> set[int]:
-    """Remove free face pairs until none remain; homotopy type is preserved.
-
-    A face is free when exactly one face properly contains it (then the
-    containing face is one vertex bigger and maximal).  Each removal deletes
-    the pair, so homology of the survivors matches the original.
-    """
-    alive = set(face_masks)
-    count = dict.fromkeys(alive, 0)
-    for f in alive:
-        # each face contributes one coface to every one-smaller subface,
-        # and subfaces are guaranteed present by closure
-        m = f
-        while m:
-            bit = m & -m
-            m ^= bit
-            count[f ^ bit] += 1
-    queue = deque(sorted(f for f, c in count.items() if c == 1))
-    while queue:
-        f = queue.popleft()
-        if f not in alive or count[f] != 1:
-            continue
-        g = None
-        for v in range(s):
-            bit = 1 << v
-            if not f & bit and (f | bit) in alive:
-                g = f | bit
-                break
-        alive.discard(f)
-        alive.discard(g)
-        for parent in (f, g):
-            m = parent
-            while m:
-                bit = m & -m
-                m ^= bit
-                sub = parent ^ bit
-                if sub in alive:
-                    count[sub] -= 1
-                    if count[sub] == 1:
-                        queue.append(sub)
-    return alive
-
-
-def _cluster_e_vector(s: int, gen_masks: frozenset[int]) -> tuple[int, ...]:
-    """e[k] = dim of reduced homology in degree k-1 for one generator cluster."""
-    key = (s, gen_masks)
-    hit = _cluster_cache.get(key)
-    if hit is not None:
-        return hit
-    full_levels = _faces_by_level(s, tuple(gen_masks))
-    elen = len(full_levels)
-    core = _collapse({m for lv in full_levels for m in lv}, s)
-    levels: list[list[int]] = []
-    for k in range(elen):
-        members = sorted(m for m in full_levels[k] if m in core)
-        if not members:
-            break
-        levels.append(members)
+def _homology(s: int, gen_masks: frozenset[int]) -> tuple[int, ...]:
+    """e-vector of a complex from its faces and the ranks of its boundary maps."""
+    levels = _faces_by_level(s, gen_masks)
     index_of = [{m: i for i, m in enumerate(lv)} for lv in levels]
     ranks = [0] * (len(levels) + 1)
     for k in range(1, len(levels)):
@@ -180,40 +123,54 @@ def _cluster_e_vector(s: int, gen_masks: frozenset[int]) -> tuple[int, ...]:
                     sign = -sign
             cols.append(col)
         ranks[k] = _matrix_rank(cols)
-    e = tuple(
-        len(levels[k]) - ranks[k] - ranks[k + 1] if k < len(levels) else 0
-        for k in range(elen)
-    )
-    _cluster_cache[key] = e
-    return e
+    return tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels)))
 
 
-def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return tuple(out)
+def _union(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
-def _restricted_e_vector(svars: tuple[int, ...], gens: list[frozenset[int]]) -> tuple[int, ...]:
-    """Reduced homology ranks of the restriction to svars, as an e-vector."""
-    vset = set(svars)
-    covered = set()
-    for g in gens:
-        covered |= g
-    if vset - covered:
-        # an uncovered vertex is a cone apex (or the complex is a full simplex)
+def _link_cover(gens: list[int], bit: int) -> int:
+    """The vertices in some minimal generator of (I : x_u), u the vertex of bit."""
+    cut = [g ^ bit for g in gens if g & bit]
+    kept = [g for g in gens if not g & bit and not any(c & g == c for c in cut)]
+    return _union(cut) | _union(kept)
+
+
+def _renumbered(verts: int, cluster: list[int]) -> tuple[int, frozenset[int]]:
+    """The cluster on its vertices renumbered 0..s-1 in order, as a cache key."""
+    local = {}
+    m = verts
+    while m:
+        low = m & -m
+        local[low] = 1 << len(local)
+        m ^= low
+    masks = []
+    for g in cluster:
+        out = 0
+        while g:
+            low = g & -g
+            out |= local[low]
+            g ^= low
+        masks.append(out)
+    return len(local), frozenset(masks)
+
+
+def _join_e_vector(vertices: int, gens: list[int]) -> tuple[int, ...]:
+    """e-vector of the complex on vertices, the join of its generator clusters.
+
+    A vertex in no generator is a cone apex, so there is no homology.
+    """
+    if vertices & ~_union(gens):
         return (0,)
-    # split generators into clusters sharing no variables; the complex is
-    # their join, and e-vectors multiply under join
     remaining = list(gens)
     e = (1,)
     while remaining:
         cluster = [remaining.pop()]
-        verts = set(cluster[0])
+        verts = cluster[0]
         changed = True
         while changed:
             changed = False
@@ -226,16 +183,46 @@ def _restricted_e_vector(svars: tuple[int, ...], gens: list[frozenset[int]]) -> 
                 else:
                     rest.append(g)
             remaining = rest
-        order = sorted(verts)
-        pos = {v: i for i, v in enumerate(order)}
-        masks = frozenset(
-            sum(1 << pos[v] for v in g) for g in cluster
-        )
-        ce = _cluster_e_vector(len(order), masks)
+        ce = _cluster_e_vector(*_renumbered(verts, cluster))
         if not any(ce):
             return (0,)
         e = _convolve(e, ce)
     return e
+
+
+def _cluster_e_vector(s: int, gen_masks: frozenset[int]) -> tuple[int, ...]:
+    """e[k] = dim of reduced homology in degree k-1 for one generator cluster."""
+    key = (s, gen_masks)
+    hit = _cluster_cache.get(key)
+    if hit is not None:
+        return hit
+    alive = (1 << s) - 1
+    gens = list(gen_masks)
+    stripped = True
+    while stripped and not alive & ~_union(gens):
+        stripped = False
+        for u in range(s):
+            bit = 1 << u
+            if alive & bit and alive & ~bit & ~_link_cover(gens, bit):
+                gens = [g for g in gens if not g & bit]
+                alive ^= bit
+                stripped = True
+    if alive == (1 << s) - 1:
+        e = _homology(s, gen_masks)
+    else:
+        e = _join_e_vector(alive, gens)
+    _cluster_cache[key] = e
+    return e
+
+
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -269,9 +256,11 @@ def betti_table(ideal: MonomialIdealSF, lattice_cap: int = LATTICE_CAP) -> Betti
     if ideal.n_vars > BETTI_VAR_CAP:
         raise CapError("betti table capped", size=ideal.n_vars, cap=BETTI_VAR_CAP)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
+    gen_masks = [sum(1 << v for v in g) for g in ideal.generators]
     for sigma in lcm_lattice(ideal, cap=lattice_cap):
-        inside = [g for g in ideal.generators if g <= sigma]
-        e = _restricted_e_vector(tuple(sorted(sigma)), inside)
+        smask = sum(1 << v for v in sigma)
+        inside = [g for g in gen_masks if not g & ~smask]
+        e = _join_e_vector(smask, inside)
         j = len(sigma)
         for k, rank in enumerate(e):
             if rank:

@@ -40,6 +40,7 @@ from .graphs import (
     from_graph6,
     from_json_dict,
     graph_from_name,
+    is_connected,
     to_graph6,
     to_json_dict,
 )
@@ -170,7 +171,9 @@ def analyze_report(
         membership = class_membership(spec, m=m)
         report["construction"] = spec.to_json_dict()
         report["membership"] = membership.to_json_dict()
-        if membership.in_g2:
+        # thm3.2 and thm3.5 hold for connected attachments only
+        connected = all(is_connected(h) for h in spec.attachments)
+        if membership.in_g2 and connected:
             bounds.append(formulas.depth_lower_bound_g2_gen(spec, m))
         if membership.in_g1:
             bounds.append(formulas.reg_upper_bound_g1(spec, m))
@@ -180,7 +183,8 @@ def analyze_report(
                 bounds.append(formulas.reg_gapfree_whisker(base))
         if membership.in_g2 and m == 2 and with_oracle:
             depths = [betti.oracle_depth_reg(h)[0] for h in spec.attachments]
-            bounds.append(formulas.depth_lower_bound_g2_binom(spec, depths))
+            if connected:
+                bounds.append(formulas.depth_lower_bound_g2_binom(spec, depths))
             full = class_membership(spec, depth_of_h=depths, m=m)
             if full.in_gprime:
                 bounds.append(formulas.depth_equality_gprime(spec, m, depths))
@@ -285,15 +289,14 @@ def cmd_verify(args) -> int:
 
 
 def _enumerate_specs(args):
-    if args.max_base is not None and args.max_base < 1:
-        return
     max_base = args.max_base if args.max_base is not None else 3
     if args.cls == "g1":
         for g in enumerate_connected_graphs(max_base):
             for s in covering_sets(g):
                 yield whisker_on_set(g, s)[0]
         return
-    names = tuple(x.strip() for x in args.attachments.split(",") if x.strip())
+    attachments = args.attachments if args.attachments is not None else ",".join(ATTACHMENT_POOL)
+    names = tuple(x.strip() for x in attachments.split(",") if x.strip())
     max_total = args.max_total if args.max_total is not None else 8
     pool = [(name, graph_from_name(name)) for name in names]
     for g in enumerate_connected_graphs(max_base):
@@ -302,6 +305,11 @@ def _enumerate_specs(args):
 
 
 def cmd_enumerate(args) -> int:
+    if args.cls == "g1" and (args.max_total is not None or args.attachments is not None):
+        raise UsageError("--class g1 reads no --max-total or --attachments")
+    for flag, size in (("--max-base", args.max_base), ("--max-total", args.max_total)):
+        if size is not None and size < 1:
+            raise UsageError(f"{flag} must be at least 1, got {size}")
     lines = [json.dumps(spec.to_json_dict(), sort_keys=True) for spec in _enumerate_specs(args)]
     text = "".join(line + "\n" for line in lines)
     _emit(text, args.out)
@@ -344,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_en.add_argument("--max-total", type=int, dest="max_total")
     p_en.add_argument(
         "--attachments",
-        default=",".join(ATTACHMENT_POOL),
-        help="comma separated attachment names (default %(default)s)",
+        help=f"comma separated attachment names for g2 (default {','.join(ATTACHMENT_POOL)})",
     )
     p_en.add_argument("--out", help="write the stream here instead of stdout")
     p_en.set_defaults(func=cmd_enumerate)

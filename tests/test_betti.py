@@ -213,3 +213,54 @@ def test_k_polynomial_identity(g):
     # initial ideal under the labels as given
     for ideal in (betti._oracle_ideal(g), initial_ideal(g)):
         assert _k_polynomial_of_table(betti_table(ideal)) == _k_polynomial_of_faces(ideal)
+
+
+def _reference_e_vector(s, gen_masks):
+    """Reduced homology ranks from every face: no strip, no clusters, no cache."""
+    faces = [f for f in range(1 << s) if not any(g & f == g for g in gen_masks)]
+    levels = [[f for f in faces if bin(f).count("1") == k] for k in range(s + 1)]
+    ranks = [0] * (s + 2)
+    for k in range(1, s + 1):
+        rows = {f: i for i, f in enumerate(levels[k - 1])}
+        cols = []
+        for f in levels[k]:
+            bits = [v for v in range(s) if f >> v & 1]
+            cols.append({rows[f ^ (1 << v)]: (-1) ** i for i, v in enumerate(bits)})
+        ranks[k] = betti._matrix_rank(cols)
+    return [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(s + 1)]
+
+
+def _random_antichain(rng, s):
+    masks = {
+        sum(1 << v for v in rng.sample(range(s), rng.randint(1, min(s, 4))))
+        for _ in range(rng.randint(2, 10))
+    }
+    return frozenset(m for m in masks if not any(o != m and o & m == o for o in masks))
+
+
+HOMOLOGY_CASES = [
+    (1, frozenset({0b1})),  # one non-vertex: only the empty face
+    (3, frozenset({0b001, 0b010, 0b100})),  # the empty complex, degree-1 generators
+    (4, frozenset({0b0011, 0b0110})),  # vertex 4 is a cone apex
+    (4, frozenset({0b0001, 0b0110, 0b1100})),  # a degree-1 generator beside a path
+    (5, frozenset({0b00111, 0b11000})),  # a circle joined with two points
+    (6, frozenset({0b000111, 0b011000, 0b100100, 0b101000})),  # the strip splits it in two
+] + [(s, frozenset({(1 << s) - 1})) for s in range(2, 7)]  # simplex boundaries
+_rng = random.Random(20261018)
+HOMOLOGY_CASES += [(s, _random_antichain(_rng, s)) for s in (_rng.randint(2, 8) for _ in range(60))]
+
+
+@pytest.mark.parametrize("s,gens", HOMOLOGY_CASES)
+def test_cluster_e_vector_matches_every_face_homology(s, gens):
+    betti._cluster_cache.clear()
+    e = list(betti._cluster_e_vector(s, gens))
+    ref = _reference_e_vector(s, gens)
+    width = max(len(e), len(ref))
+    assert e + [0] * (width - len(e)) == ref + [0] * (width - len(ref))
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+def test_simplex_boundary_survives_the_strip(s):
+    # no link in the boundary of a simplex is a cone, so its sphere is kept
+    betti._cluster_cache.clear()
+    assert betti._cluster_e_vector(s, frozenset({(1 << s) - 1})) == (0,) * (s - 1) + (1,)

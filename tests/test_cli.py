@@ -6,7 +6,7 @@ import contextlib
 
 import pytest
 
-from corbel import cli
+from corbel import betti, cli
 from corbel.cli import main, run_verification
 from corbel.errors import UsageError
 
@@ -64,6 +64,26 @@ def test_analyze_spec_full_report(tmp_path):
     assert dec["dimension"] == 8
     assert dec["unmixed"] is False
     assert dec["witness"]["T"] == [2]
+
+
+def test_analyze_spec_with_disconnected_attachments(tmp_path):
+    # lem5.1's pinned double star k2|S=1,2|H=2k1,2k1: thm3.2 and thm3.5 need
+    # connected attachments, so they are left out instead of failing the run
+    spec = {"base": {"n": 2, "edges": [[1, 2]]}, "S": [1, 2], "H": [{"n": 2, "edges": []}] * 2}
+    path = tmp_path / "double_star.json"
+    path.write_text(json.dumps(spec))
+    for extra in ((), ("--oracle", "--decompose")):
+        rc, out, err = run_cli("analyze", "--spec", str(path), *extra)
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["membership"]["in_G2"] is True
+        assert [(b["name"], b["value"]) for b in doc["bounds"]] == [
+            ("thm2.4", 7),
+            ("thm2.5", 7),
+            ("lem5.1", 9),
+        ]
+    assert doc["oracle"] == {"depth": 7, "reg": 3}
+    assert doc["decomposition"]["dimension"] == 8
 
 
 def test_analyze_csv():
@@ -193,6 +213,26 @@ def test_pool_is_clamped_to_cpus_and_instances(monkeypatch):
     assert sizes == [3, 2]
 
 
+def test_real_pool_matches_the_serial_run(monkeypatch):
+    sizes = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    # workers start from empty caches, so they compute every record themselves
+    monkeypatch.setattr(betti, "_oracle_cache", {})
+    monkeypatch.setattr(betti, "_cluster_cache", {})
+    pooled = run_verification("thm4.6", jobs=2)
+    assert sizes == [2]
+    serial = run_verification("thm4.6", jobs=1)
+    assert pooled.universe == serial.universe
+    assert pooled.records == serial.records
+
+
 def test_enumerate_streams_specs():
     rc, out, _ = run_cli("enumerate", "--class", "g2", "--max-total", "5")
     assert rc == 0
@@ -208,3 +248,28 @@ def test_enumerate_streams_specs():
 def test_enumerate_requires_class():
     with pytest.raises(SystemExit):
         main(["enumerate"])
+
+
+def test_enumerate_output_is_unchanged_by_explicit_defaults():
+    _, default, _ = run_cli("enumerate", "--class", "g2", "--max-total", "5")
+    _, explicit, _ = run_cli(
+        "enumerate", "--class", "g2", "--max-total", "5", "--attachments", "k1,k2,p3,2k1"
+    )
+    assert explicit == default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--class", "g1", "--max-base", "0"),
+        ("--class", "g2", "--max-base", "0"),
+        ("--class", "g2", "--max-total", "0"),
+        ("--class", "g2", "--max-total", "-3"),
+        ("--class", "g1", "--max-total", "5"),
+        ("--class", "g1", "--attachments", "k1"),
+    ],
+)
+def test_enumerate_rejects_bad_options(argv):
+    rc, out, err = run_cli("enumerate", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
