@@ -218,6 +218,7 @@ def _all_graphs(max_n: int) -> tuple[str, list[dict]]:
 
 
 def _orders(max_n: int) -> tuple[str, list[dict]]:
+    enumerate_connected_graphs(max_n)  # checks the size before the sweep starts
     payloads = [{"id": f"n={n}", "n": n} for n in range(1, max_n + 1)]
     return f"connected graph counts for n up to {max_n}", payloads
 

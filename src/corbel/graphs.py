@@ -14,6 +14,8 @@ from .errors import CapError, InputError, ParseError
 
 # Connected graphs up to isomorphism on 1..7 vertices.
 CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853)
+# The largest order enumerate_connected_graphs builds.
+ENUMERATION_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -297,9 +299,22 @@ def enumerate_connected_graphs(max_n: int):
 
     Covers all orders 1..max_n, smaller orders first; within an order the
     output follows the canonical-form sort, so the stream is deterministic.
+    The size is checked at the call, before any graph is built: a max_n
+    that is not an int of at least 1 is an InputError, and one above
+    ENUMERATION_CAP is a CapError.
     """
-    if not (isinstance(max_n, int) and 1 <= max_n <= 7):
-        raise InputError("supported range is 1 <= max_n <= 7")
+    if not (isinstance(max_n, int) and max_n >= 1):
+        raise InputError(f"max_n must be an int of at least 1, got {max_n!r}")
+    if max_n > ENUMERATION_CAP:
+        raise CapError(
+            f"connected graph enumeration capped: max_n {max_n} > {ENUMERATION_CAP}",
+            size=max_n,
+            cap=ENUMERATION_CAP,
+        )
+    return _iter_connected_graphs(max_n)
+
+
+def _iter_connected_graphs(max_n: int):
     reps = [from_edge_list(1, [])]
     yield reps[0]
     for n in range(2, max_n + 1):

@@ -2,12 +2,17 @@
 
 The ideal of a graph on 1..n lives in 2n variables ordered
 x_1 > ... > x_n > y_1 > ... > y_n; variable x_k is index k and y_k is index
-n+k.  Monomials are exponent tuples of length 2n, so Python's tuple
-comparison is exactly the lex order.
+n+k.
 
 ``reduced_groebner_basis`` builds the basis combinatorially from admissible
-paths; ``buchberger_oracle`` recomputes the initial ideal from the edge
-generators alone with exact rational arithmetic.  The two must agree.
+paths, with monomials as exponent tuples of length 2n, so Python's tuple
+comparison is exactly the lex order.  ``buchberger_oracle`` recomputes the
+initial ideal from the edge generators alone, with exact arithmetic over Q
+and nothing from the path walk.  It packs each monomial into one int,
+a guarded bit field per variable with x_1 on top, so int comparison is lex
+order and products, quotients, divisibility, lcm and degree are a few
+integer operations; it drops useless critical pairs with Gebauer and
+Moeller's criteria M, F and B.  The two must agree.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import CapError, InputError
 from .graphs import Graph
 
 GROEBNER_CAP = 12
-BUCHBERGER_CAP = 7
+BUCHBERGER_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -173,45 +178,94 @@ def initial_ideal(g: Graph, cap: int = GROEBNER_CAP) -> MonomialIdealSF:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger oracle: exact rationals, normal pair selection, full reduction.
-# Polynomials are dicts mapping exponent tuples to nonzero Fractions.
+# Buchberger oracle: packed monomials, Gebauer-Moeller pair pruning.
+# Polynomials are dicts mapping packed monomials to nonzero coefficients,
+# plain ints until a division by a non-unit leading coefficient makes them
+# Fractions.
 
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+EXP_BITS = 7  # every exponent stays below 2**EXP_BITS, or the oracle raises
 
 
-def _mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+class _Packing:
+    """Monomials in nv variables packed into one int, lex order kept.
+
+    One field per variable, x_1 in the most significant field and y_n in
+    the least, so comparing the ints compares the monomials in lex order.
+    A field has EXP_BITS exponent bits, a guard bit above them, and enough
+    zero bits above the guard that a whole degree fits in one field.  With
+    every guard bit clear, products and quotients are + and -, and
+    divisibility, lcm and degree take a few word operations.
+    """
+
+    def __init__(self, nv: int):
+        self.nv = nv
+        self.width = EXP_BITS + 1 + nv.bit_length()
+        self.guard = sum(1 << (k * self.width + EXP_BITS) for k in range(nv))
+        self._ones = sum(1 << (k * self.width) for k in range(nv))
+        self._top = (nv - 1) * self.width
+        self._field = (1 << self.width) - 1
+
+    def pack(self, exps) -> int:
+        if not all(0 <= e < 1 << EXP_BITS for e in exps):
+            raise OverflowError(f"exponents {tuple(exps)} leave 0..2**{EXP_BITS}-1")
+        m = 0
+        for e in exps:
+            m = (m << self.width) | e
+        return m
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        w, f = self.width, self._field
+        return tuple((m >> (k * w)) & f for k in range(self.nv - 1, -1, -1))
+
+    def mul(self, a: int, b: int) -> int:
+        c = a + b
+        if c & self.guard:
+            raise OverflowError(f"a packed exponent reached 2**{EXP_BITS}")
+        return c
+
+    def divides(self, a: int, b: int) -> bool:
+        """a | b: no field of b - a borrows from its guard bit."""
+        g = self.guard
+        return ((b | g) - a) & g == g
+
+    def first_divisor(self, m: int, lts) -> int:
+        """Position of the first monomial in lts dividing m, or -1."""
+        g = self.guard
+        mg = m | g
+        for pos, lt in enumerate(lts):
+            if (mg - lt) & g == g:
+                return pos
+        return -1
+
+    def lcm(self, a: int, b: int) -> int:
+        """Field-wise max: the guard bits of (a | G) - b mark fields where a >= b."""
+        d = ((a | self.guard) - b) & self.guard
+        mask = d - (d >> EXP_BITS)
+        return (a & mask) | (b & ~mask)
+
+    def degree(self, m: int) -> int:
+        """Sum of the fields, gathered into the top field by one multiply."""
+        return ((m * self._ones) >> self._top) & self._field
 
 
-def _mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _normal_form(p: dict, basis: list[dict], lts: list[tuple[int, ...]]) -> dict:
+def _normal_form(p: dict, basis: list[dict], lts: list[int], pk: _Packing) -> dict:
+    """Full reduction of p by basis, whose elements have leading terms lts."""
     result = {}
     work = dict(p)
     while work:
         mono = max(work)
         coef = work.pop(mono)
-        hit = -1
-        for idx, lt in enumerate(lts):
-            if _divides(lt, mono):
-                hit = idx
-                break
+        hit = pk.first_divisor(mono, lts)
         if hit < 0:
             result[mono] = coef
             continue
-        shift = _mono_div(mono, lts[hit])
+        lt = lts[hit]
+        shift = mono - lt
         for m2, c2 in basis[hit].items():
-            if m2 == lts[hit]:
+            if m2 == lt:
                 continue
-            m3 = _mono_mul(m2, shift)
-            nc = work.get(m3, Fraction(0)) - coef * c2
+            m3 = pk.mul(m2, shift)
+            nc = work.get(m3, 0) - coef * c2
             if nc:
                 work[m3] = nc
             else:
@@ -219,100 +273,127 @@ def _normal_form(p: dict, basis: list[dict], lts: list[tuple[int, ...]]) -> dict
     return result
 
 
-def _make_monic(p: dict) -> dict:
-    lc = p[max(p)]
+def _make_monic(p: dict, lt: int) -> dict:
+    lc = p[lt]
     if lc == 1:
         return p
-    return {m: c / lc for m, c in p.items()}
+    if lc == -1:
+        return {m: -c for m, c in p.items()}
+    return {m: Fraction(c) / lc for m, c in p.items()}
+
+
+def _s_polynomial(f: dict, lt_f: int, h: dict, lt_h: int, lcm: int, pk: _Packing) -> dict:
+    """lcm/lt_f * f - lcm/lt_h * h for monic f and h; the lcm terms cancel."""
+    s: dict = {}
+    shift = lcm - lt_f
+    for m, c in f.items():
+        if m != lt_f:
+            s[pk.mul(m, shift)] = c
+    shift = lcm - lt_h
+    for m, c in h.items():
+        if m != lt_h:
+            m2 = pk.mul(m, shift)
+            nc = s.get(m2, 0) - c
+            if nc:
+                s[m2] = nc
+            else:
+                s.pop(m2, None)
+    return s
+
+
+def _update(pairs: list, live: list[int], lts: list[int], pk: _Packing) -> tuple[list, list[int]]:
+    """Gebauer-Moeller UPDATE for the newest basis element, lts[-1].
+
+    Returns the new pair heap and the new live (non-redundant) elements.
+    Pairs (new, g) for live g are pruned by criterion M (another new pair's
+    lcm properly divides this one's) and F (of equal lcms one pair stays);
+    pairs with coprime leading terms take part in that pruning, then drop
+    out (Buchberger's product criterion).  An old pair falls to criterion B
+    when the new leading term divides its lcm and neither of its elements'
+    lcms with the new term equals it.  Live elements whose leading term the
+    new one divides become redundant.
+    """
+    new = len(lts) - 1
+    lt_h = lts[new]
+    cand = [(pk.lcm(lt_h, lts[g]), g) for g in live]
+    lcms = [l1 for l1, _ in cand]
+    kept: list = []
+    kept_lcms: list[int] = []
+    for pos, (l1, g) in enumerate(cand):
+        coprime = l1 == lt_h + lts[g]
+        if coprime or (
+            pk.first_divisor(l1, kept_lcms) < 0 and pk.first_divisor(l1, lcms[pos + 1:]) < 0
+        ):
+            kept.append((l1, g))
+            kept_lcms.append(l1)
+    survivors = [
+        pair
+        for pair in pairs
+        if not pk.divides(lt_h, pair[1])
+        or pk.lcm(lts[pair[2]], lt_h) == pair[1]
+        or pk.lcm(lts[pair[3]], lt_h) == pair[1]
+    ]
+    for l1, g in kept:
+        if l1 != lt_h + lts[g]:
+            survivors.append((pk.degree(l1), l1, g, new))
+    heapq.heapify(survivors)
+    return survivors, [g for g in live if not pk.divides(lt_h, lts[g])] + [new]
 
 
 def buchberger_oracle(g: Graph, cap: int = BUCHBERGER_CAP) -> MonomialIdealSF:
     """Initial ideal recomputed from scratch with Buchberger's algorithm.
 
-    Runs over exact rationals with normal (smallest lcm degree) pair
-    selection and full reduction, then minimalizes.  Non-unit coefficients in
-    the fully reduced basis are reported as an internal consistency error.
+    Takes only the edge binomials x_a y_b - x_b y_a.  Monomials are packed
+    ints (see ``_Packing``): products and quotients are + and -, and an
+    exponent reaching its guard bit raises OverflowError.  Pairs wait in a
+    heap by (lcm degree, lcm), the normal selection strategy, and are pruned
+    by Gebauer and Moeller's criteria M, F and B and the product criterion
+    (J. Symb. Comput. 6, 1988).  S-polynomials are fully reduced against the
+    non-redundant elements only.  Coefficients are ints, and Fractions once
+    a leading coefficient is not +-1, so the arithmetic is exact over Q.
+    The final basis is interreduced; a non-unit coefficient or a
+    non-squarefree leading term in it is reported as an internal
+    consistency error.
     """
     if g.n > cap:
         raise CapError("buchberger oracle capped", size=g.n, cap=cap)
     n = g.n
     nv = 2 * n
+    pk = _Packing(nv)
     basis: list[dict] = []
-    lts: list[tuple[int, ...]] = []
+    lts: list[int] = []
+    live: list[int] = []
+    pairs: list = []
     for a, b in g.edges():
-        plus = _support_to_exp(nv, {a, n + b})
-        minus = _support_to_exp(nv, {b, n + a})
-        basis.append({plus: Fraction(1), minus: Fraction(-1)})
+        plus = pk.pack(_support_to_exp(nv, {a, n + b}))
+        minus = pk.pack(_support_to_exp(nv, {b, n + a}))
+        basis.append({plus: 1, minus: -1})
         lts.append(plus)
+        pairs, live = _update(pairs, live, lts, pk)
+    while pairs:
+        _, lcm, ia, ib = heapq.heappop(pairs)
+        s = _s_polynomial(basis[ia], lts[ia], basis[ib], lts[ib], lcm, pk)
+        r = _normal_form(s, [basis[i] for i in live], [lts[i] for i in live], pk)
+        if r:
+            lt = max(r)
+            basis.append(_make_monic(r, lt))
+            lts.append(lt)
+            pairs, live = _update(pairs, live, lts, pk)
 
-    heap: list = []
-    for ia, ib in itertools.combinations(range(len(basis)), 2):
-        lcm = _mono_lcm(lts[ia], lts[ib])
-        heapq.heappush(heap, (sum(lcm), lcm, ia, ib))
-
-    while heap:
-        _, lcm, ia, ib = heapq.heappop(heap)
-        # product criterion: coprime leading terms reduce to zero
-        if lcm == _mono_mul(lts[ia], lts[ib]):
-            continue
-        f, h = basis[ia], basis[ib]
-        s: dict = {}
-        for m, c in f.items():
-            m2 = _mono_mul(m, _mono_div(lcm, lts[ia]))
-            s[m2] = s.get(m2, Fraction(0)) + c
-        for m, c in h.items():
-            m2 = _mono_mul(m, _mono_div(lcm, lts[ib]))
-            nc = s.get(m2, Fraction(0)) - c
-            if nc:
-                s[m2] = nc
-            else:
-                s.pop(m2, None)
-        r = _normal_form(s, basis, lts)
-        if not r:
-            continue
-        r = _make_monic(r)
-        lt = max(r)
-        for ia2 in range(len(basis)):
-            lcm2 = _mono_lcm(lts[ia2], lt)
-            heapq.heappush(heap, (sum(lcm2), lcm2, ia2, len(basis)))
-        basis.append(r)
-        lts.append(lt)
-
-    # minimalize: drop elements whose leading term another leading term divides
-    keep = []
-    for i, lt in enumerate(lts):
-        dominated = False
-        for k, lt2 in enumerate(lts):
-            if k == i:
-                continue
-            if _divides(lt2, lt) and (lt2 != lt or k < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-
-    reduced: list[dict] = []
-    kept_basis = [basis[i] for i in keep]
-    kept_lts = [lts[i] for i in keep]
-    for pos in range(len(kept_basis)):
-        others = kept_basis[:pos] + kept_basis[pos + 1:]
-        other_lts = kept_lts[:pos] + kept_lts[pos + 1:]
-        b = kept_basis[pos]
-        lt = kept_lts[pos]
-        tail = {m: c for m, c in b.items() if m != lt}
-        tail = _normal_form(tail, others, other_lts)
-        final = {lt: Fraction(1)}
-        final.update(tail)
-        for c in final.values():
+    # the live leading terms form an antichain: interreduce the tails
+    supports = []
+    for pos, i in enumerate(live):
+        others = live[:pos] + live[pos + 1:]
+        lt = lts[i]
+        tail = {m: c for m, c in basis[i].items() if m != lt}
+        tail = _normal_form(tail, [basis[k] for k in others], [lts[k] for k in others], pk)
+        for c in tail.values():
             if c != 1 and c != -1:
                 raise RuntimeError(
                     "internal consistency error: non-unit coefficient in reduced basis"
                 )
-        reduced.append(final)
-
-    supports = []
-    for lt in kept_lts:
-        if any(e > 1 for e in lt):
+        exps = pk.unpack(lt)
+        if any(e > 1 for e in exps):
             raise RuntimeError("internal consistency error: non-squarefree leading term")
-        supports.append(frozenset(k + 1 for k, e in enumerate(lt) if e))
+        supports.append(frozenset(k + 1 for k, e in enumerate(exps) if e))
     return MonomialIdealSF.from_supports(nv, supports, minimalize=True)

@@ -180,6 +180,17 @@ def test_verify_rejects_bad_size_options(tag, opts):
         run_verification(tag, **opts)
 
 
+@pytest.mark.parametrize(
+    "tag, flag", [("thm3.3", "--max-base"), ("gb-oracle", "--max-n"), ("enum", "--max-n")]
+)
+def test_verify_above_the_enumeration_cap_exits_three(tag, flag):
+    # a size cap, not a usage error: the README's exit 3
+    rc, out, err = run_cli("verify", tag, flag, "8")
+    assert rc == 3
+    assert out == ""
+    assert "connected graph enumeration capped: max_n 8 > 7" in err
+
+
 def test_pool_is_clamped_to_cpus_and_instances(monkeypatch):
     sizes = []
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from corbel.errors import InputError, ParseError
+from corbel.errors import CapError, InputError, ParseError
 from corbel.graphs import (
     canonical_form,
     connected_components,
@@ -145,6 +145,15 @@ def test_connected_enumeration_counts():
     assert got == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
     seen = [canonical_form(g) for g in enumerate_connected_graphs(4)]
     assert len(seen) == len(set(seen))
+
+
+def test_enumeration_size_is_checked_at_the_call():
+    with pytest.raises(CapError) as exc:
+        enumerate_connected_graphs(8)
+    assert (exc.value.size, exc.value.cap) == (8, 7)
+    for bad in (0, -2, "5", 3.0):
+        with pytest.raises(InputError):
+            enumerate_connected_graphs(bad)
 
 
 def test_components_within_match_the_induced_subgraph():

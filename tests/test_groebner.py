@@ -1,13 +1,24 @@
 """Admissible-path Groebner bases and the Buchberger cross-check."""
 
-import pytest
+import random
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+
+from corbel import groebner
+from corbel.checks import CHECKS
+from corbel.constructions import spec_from_json_dict
 from corbel.errors import CapError, InputError
-from corbel.graphs import from_edge_list, graph_from_name
+from corbel.graphs import enumerate_connected_graphs, from_edge_list, graph_from_name, to_graph6
 from corbel.groebner import (
     BUCHBERGER_CAP,
+    EXP_BITS,
     GROEBNER_CAP,
     MonomialIdealSF,
+    _make_monic,
+    _Packing,
+    _update,
     admissible_paths,
     buchberger_oracle,
     initial_ideal,
@@ -97,6 +108,136 @@ def test_reduced_basis_is_monic_and_reduced():
 )
 def test_buchberger_agrees(g):
     assert buchberger_oracle(g) == initial_ideal(g)
+
+
+def _relabeled(g, rng):
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+
+
+_rng = random.Random(20261018)
+# lex initial ideals depend on the labels, so canonical representatives alone
+# would leave most labelings untested
+RELABELED_GRAPHS = [(to_graph6(g), _relabeled(g, _rng)) for g in enumerate_connected_graphs(6)]
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in RELABELED_GRAPHS], ids=[k for k, _ in RELABELED_GRAPHS]
+)
+def test_buchberger_agrees_on_relabeled_graphs(g):
+    assert buchberger_oracle(g) == initial_ideal(g)
+
+
+_, _WHISKER_PAYLOADS = CHECKS["thm3.3"].universe(5)
+
+
+@pytest.mark.parametrize("payload", _WHISKER_PAYLOADS, ids=[p["id"] for p in _WHISKER_PAYLOADS])
+def test_buchberger_agrees_on_whiskers(payload):
+    # the whiskers of verify thm3.3 --max-base 5: up to 10 vertices, 20 variables
+    g = spec_from_json_dict(payload["spec"]).composite()
+    assert buchberger_oracle(g) == initial_ideal(g)
+    h = _relabeled(g, random.Random(payload["id"]))
+    assert buchberger_oracle(h) == initial_ideal(h)
+
+
+def test_whisker_universe_size():
+    assert len(_WHISKER_PAYLOADS) == 31
+    assert max(spec_from_json_dict(p["spec"]).composite().n for p in _WHISKER_PAYLOADS) == 10
+
+
+# --- packed monomials against their exponent-tuple definitions --------------
+
+_LIMIT = 1 << EXP_BITS
+
+
+@st.composite
+def _exponents(draw, count=2, limit=_LIMIT):
+    nv = draw(st.integers(1, 20))
+    vecs = [draw(st.lists(st.integers(0, limit - 1), min_size=nv, max_size=nv)) for _ in range(count)]
+    return (_Packing(nv), *[tuple(v) for v in vecs])
+
+
+@given(_exponents())
+def test_packed_order_is_lex_order(case):
+    pk, a, b = case
+    assert pk.unpack(pk.pack(a)) == a
+    assert (pk.pack(a) < pk.pack(b)) == (a < b)
+    assert (pk.pack(a) == pk.pack(b)) == (a == b)
+
+
+@given(_exponents())
+def test_packed_divisibility_lcm_and_degree(case):
+    pk, a, b = case
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert pk.unpack(pk.lcm(pa, pb)) == tuple(max(x, y) for x, y in zip(a, b))
+    assert pk.degree(pa) == sum(a)
+    if pk.divides(pa, pb):
+        assert pk.unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
+
+
+@given(_exponents(count=4, limit=4))
+def test_packed_first_divisor(case):
+    pk, m, *cands = case
+    want = next((k for k, c in enumerate(cands) if all(x <= y for x, y in zip(c, m))), -1)
+    assert pk.first_divisor(pk.pack(m), [pk.pack(c) for c in cands]) == want
+
+
+@given(_exponents())
+def test_packed_product_raises_at_the_guard_bit(case):
+    pk, a, b = case
+    total = tuple(x + y for x, y in zip(a, b))
+    if max(total) < _LIMIT:
+        assert pk.unpack(pk.mul(pk.pack(a), pk.pack(b))) == total
+    else:
+        with pytest.raises(OverflowError):
+            pk.mul(pk.pack(a), pk.pack(b))
+
+
+def test_pack_rejects_exponents_past_the_guard_bit():
+    with pytest.raises(OverflowError):
+        _Packing(3).pack((0, _LIMIT, 0))
+
+
+def test_buchberger_raises_when_an_exponent_reaches_the_guard(monkeypatch):
+    # an S-polynomial of the star 2-1-3 carries y_1^2; one exponent bit cannot hold it
+    star = from_edge_list(3, [(1, 2), (1, 3)])
+    monkeypatch.setattr(groebner, "EXP_BITS", 1)
+    with pytest.raises(OverflowError):
+        buchberger_oracle(star)
+
+
+def test_update_applies_the_gebauer_moeller_criteria():
+    # variables a > b > c > d; each case worked by hand from the textbook
+    # UPDATE, on live leading terms that form an antichain, as they always do
+    pk = _Packing(4)
+    a, b, c, d = (pk.pack(tuple(int(k == v) for k in range(4))) for v in range(4))
+    abc = a + b + c
+    # B: h = ac divides the old lcm abc, but lcm(ab, ac) equals it, so the
+    # old pair stays; F keeps one of the two new pairs with lcm abc
+    pairs, live = _update([(3, abc, 0, 1)], [0, 1], [a + b, b + c, a + c], pk)
+    assert sorted(pairs) == [(3, abc, 0, 1), (3, abc, 1, 2)]
+    assert live == [0, 1, 2]
+    # B drops the old pair: h = b divides abc, and both lcms with b are
+    # smaller; b also makes ab and bc redundant
+    pairs, live = _update([(3, abc, 0, 1)], [0, 1], [a + b, b + c, b], pk)
+    assert sorted(pairs) == [(2, b + c, 1, 2), (2, a + b, 0, 2)]
+    assert live == [2]
+    # M: lcm(ab, bc) = abc properly divides lcm(ab, acd) = abcd
+    pairs, live = _update([], [0, 1], [b + c, a + c + d, a + b], pk)
+    assert pairs == [(3, abc, 0, 2)]
+    assert live == [0, 1, 2]
+    # coprime leading terms make no pair
+    pairs, live = _update([], [0], [c + d, a + b], pk)
+    assert pairs == []
+    assert live == [0, 1]
+
+
+def test_make_monic_is_exact_for_non_unit_leads():
+    p = _make_monic({8: 2, 3: -3}, 8)
+    assert p == {8: 1, 3: Fraction(-3, 2)}
+    assert _make_monic({8: -1, 3: 1}, 8) == {8: 1, 3: -1}
 
 
 def test_caps():
