@@ -249,47 +249,93 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # isomorphism and enumeration
 
-def _edge_bit(a: int, b: int) -> int:
-    # 1 <= a < b; column-major position of the pair
-    return (b - 1) * (b - 2) // 2 + (a - 1)
+def _rows(g: Graph) -> tuple[int, ...]:
+    # 0-based adjacency bit rows: bit u - 1 of entry v - 1 is the edge uv
+    return tuple(sum(1 << (u - 1) for u in g.adj[v]) for v in g.vertices())
+
+
+def _graph_from_rows(rows) -> Graph:
+    nbrs = [frozenset(u + 1 for u in range(len(rows)) if row >> u & 1) for row in rows]
+    return Graph(len(rows), (frozenset(), *nbrs))
+
+
+def _min_edge_mask(rows) -> int:
+    """The minimal edge mask of the graph with these bit rows; see canonical_form."""
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    # a state is the ordered partition of the unlabeled vertices into cells,
+    # lowest labels first; each cell owns the next block of labels
+    frontier = {tuple(by_degree[d] for d in sorted(by_degree, reverse=True))}
+    mask = 0
+    for k in range(len(rows), 1, -1):
+        best = -1
+        survivors: set[tuple[int, ...]] = set()
+        for cells in frontier:
+            top = cells[-1]
+            tried: list[int] = []
+            rest = top
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                row = rows[bit.bit_length() - 1]
+                # swapping two twins in one cell is an automorphism that
+                # fixes the partition, so both choices give the same subtree
+                if any((row ^ rows[t.bit_length() - 1]) & ~(bit | t) == 0 for t in tried):
+                    continue
+                tried.append(bit)
+                column = 0
+                low = 0
+                split: list[int] = []
+                for cell in cells[:-1] + (top ^ bit,):
+                    if not cell:
+                        continue
+                    inside = cell & row
+                    column |= ((1 << inside.bit_count()) - 1) << low
+                    low += cell.bit_count()
+                    if inside:
+                        split.append(inside)
+                    if inside != cell:
+                        split.append(cell ^ inside)
+                if best < 0 or column < best:
+                    best = column
+                    survivors = set()
+                if column == best:
+                    survivors.add(tuple(split))
+        frontier = survivors
+        # columns 2..k-1 hold 1 + 2 + ... + (k-2) bits below column k
+        mask |= best << ((k - 1) * (k - 2) // 2)
+    return mask
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:
-    """Isomorphism-invariant key: (n, minimal edge bitmask over relabelings).
+    """Isomorphism-invariant key: (n, minimal edge mask over relabelings).
 
-    Relabelings are restricted to those listing vertices by descending degree,
-    which is exhaustive within each degree class and sound because any
-    isomorphism preserves degrees.  Intended for desk-scale graphs.
+    The mask of a labeling sets bit ``(b-1)(b-2)/2 + (a-1)`` for each edge
+    ab with a < b, so column b (the edges from label b down to smaller
+    labels) is more significant the higher b is.  The minimum runs over the
+    labelings that give the smallest labels to the highest degrees; any
+    isomorphism preserves degrees, so the key is invariant.
+
+    The minimum is found one column at a time, from label n down.  The
+    vertex at label k comes from the cell of unlabeled vertices that owns
+    label k.  Once it is chosen, its column is smallest exactly when each
+    cell below lists its neighbours before the rest, because cells own
+    disjoint blocks of labels and a block's bits are smallest with its ones
+    at the bottom.  So the column is known as soon as the vertex is, and
+    the labelings that still reach the minimum are those consistent with
+    the split cells.  Each level keeps only the partitions whose column is
+    minimal, tries one vertex of each set of twins, and merges equal
+    partitions, since what lies below depends only on the partition.
     """
-    n = g.n
-    if n == 0:
-        return (0, 0)
-    by_degree: dict[int, list[int]] = {}
-    for v in g.vertices():
-        by_degree.setdefault(g.degree(v), []).append(v)
-    classes = [tuple(by_degree[d]) for d in sorted(by_degree, reverse=True)]
-    edges = g.edges()
-    best = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
-        label = {}
-        nxt = 1
-        for part in parts:
-            for v in part:
-                label[v] = nxt
-                nxt += 1
-        mask = 0
-        for u, v in edges:
-            a, b = label[u], label[v]
-            if a > b:
-                a, b = b, a
-            mask |= 1 << _edge_bit(a, b)
-        if best is None or mask < best:
-            best = mask
-    return (n, best)
+    return (g.n, _min_edge_mask(_rows(g)))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.num_edges() != h.num_edges():
+    if g.n != h.n:
+        return False
+    if sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
         return False
     return canonical_form(g) == canonical_form(h)
 
@@ -297,11 +343,14 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 def enumerate_connected_graphs(max_n: int):
     """Yield one representative per isomorphism class of connected graphs.
 
-    Covers all orders 1..max_n, smaller orders first; within an order the
-    output follows the canonical-form sort, so the stream is deterministic.
-    The size is checked at the call, before any graph is built: a max_n
-    that is not an int of at least 1 is an InputError, and one above
-    ENUMERATION_CAP is a CapError.
+    Covers all orders 1..max_n, smaller orders first.  Each order extends
+    every representative of the order below by a new top vertex with each
+    nonempty neighbourhood, keeps the first candidate of each canonical
+    form, and yields them sorted by that form, so the stream is
+    deterministic.  Candidates are handled as adjacency bit rows; a Graph is
+    built only for the representatives.  The size is checked at the call,
+    before any graph is built: a max_n that is not an int of at least 1 is
+    an InputError, and one above ENUMERATION_CAP is a CapError.
     """
     if not (isinstance(max_n, int) and max_n >= 1):
         raise InputError(f"max_n must be an int of at least 1, got {max_n!r}")
@@ -315,25 +364,21 @@ def enumerate_connected_graphs(max_n: int):
 
 
 def _iter_connected_graphs(max_n: int):
-    reps = [from_edge_list(1, [])]
-    yield reps[0]
+    reps: list[tuple[int, ...]] = [(0,)]
+    yield _graph_from_rows(reps[0])
     for n in range(2, max_n + 1):
-        seen: dict[tuple[int, int], Graph] = {}
+        new = 1 << (n - 1)
+        seen: dict[int, tuple[int, ...]] = {}
         for base in reps:
-            base_edges = base.edges()
             # every connected graph arises from a connected one by adding a
             # vertex with a nonempty neighborhood (delete a non-cut vertex)
-            for mask in range(1, 1 << (n - 1)):
-                edges = list(base_edges)
-                for v in range(1, n):
-                    if (mask >> (v - 1)) & 1:
-                        edges.append((v, n))
-                cand = from_edge_list(n, edges)
-                key = canonical_form(cand)
-                if key not in seen:
-                    seen[key] = cand
+            for mask in range(1, new):
+                grown = (row | new if mask >> v & 1 else row for v, row in enumerate(base))
+                rows = (*grown, mask)
+                seen.setdefault(_min_edge_mask(rows), rows)
         reps = [seen[k] for k in sorted(seen)]
-        yield from reps
+        for rows in reps:
+            yield _graph_from_rows(rows)
 
 
 def graph_from_name(name: str) -> Graph:

@@ -1,12 +1,17 @@
 """Graph container, graph6 codec, isomorphism, and enumeration."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from corbel import graphs
+from corbel.constructions import whisker
 from corbel.errors import CapError, InputError, ParseError
 from corbel.graphs import (
+    CONNECTED_GRAPH_COUNTS,
     canonical_form,
     connected_components,
     disjoint_union,
@@ -129,12 +134,124 @@ def test_induced_subgraph_relabels():
     assert sorted(tuple(sorted(e)) for e in sub.edges()) == [(1, 2), (2, 3)]
 
 
+def brute_force_canonical_form(g):
+    """Reference key: every relabeling that lists vertices by descending degree."""
+    n = g.n
+    if n == 0:
+        return (0, 0)
+    by_degree = {}
+    for v in g.vertices():
+        by_degree.setdefault(g.degree(v), []).append(v)
+    classes = [tuple(by_degree[d]) for d in sorted(by_degree, reverse=True)]
+    edges = g.edges()
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
+        label = {}
+        nxt = 1
+        for part in parts:
+            for v in part:
+                label[v] = nxt
+                nxt += 1
+        mask = 0
+        for u, v in edges:
+            a, b = sorted((label[u], label[v]))
+            mask |= 1 << ((b - 1) * (b - 2) // 2 + (a - 1))
+        if best is None or mask < best:
+            best = mask
+    return (n, best)
+
+
+def relabeled(g, rng):
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    label = dict(zip(g.vertices(), perm))
+    return from_edge_list(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+
 def test_canonical_form_is_label_invariant():
     a = from_edge_list(4, [(1, 2), (2, 3), (3, 4)])
     b = from_edge_list(4, [(4, 2), (2, 1), (1, 3)])
     assert canonical_form(a) == canonical_form(b)
     assert is_isomorphic(a, b)
     assert not is_isomorphic(a, graph_from_name("c4"))
+
+
+def test_canonical_form_matches_reference_on_enumerator_candidates():
+    # the enumerator extends each representative by a new top vertex with
+    # every nonempty neighbourhood; these are all the graphs it keys
+    reps = list(enumerate_connected_graphs(5))
+    candidates = [from_edge_list(1, [])]
+    for base in reps:
+        n = base.n + 1
+        for mask in range(1, 1 << base.n):
+            extra = [(v, n) for v in base.vertices() if mask >> (v - 1) & 1]
+            candidates.append(from_edge_list(n, base.edges() + extra))
+    assert len(candidates) == 1 + 1 + 3 + 2 * 7 + 6 * 15 + 21 * 31
+    for g in candidates:
+        assert canonical_form(g) == brute_force_canonical_form(g)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=0, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))
+            if n >= 2 else st.just(set()),
+            st.permutations(range(1, n + 1)),
+        )
+    )
+)
+def test_canonical_form_matches_reference_under_relabeling(data):
+    n, edges, perm = data
+    g = from_edge_list(n, edges)
+    h = from_edge_list(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+    key = canonical_form(g)
+    assert key == brute_force_canonical_form(g)
+    assert canonical_form(h) == key
+
+
+def _petersen():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(6 + i, 6 + (i + 2) % 5) for i in range(5)]
+    return from_edge_list(10, outer + spokes + inner)
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [
+        ("c9", graph_from_name("c9")),
+        ("k8", graph_from_name("k8")),
+        ("petersen", _petersen()),
+        ("W(C6)", whisker(graph_from_name("c6"))[1]),
+    ],
+)
+def test_canonical_form_on_graphs_the_permutation_walk_could_not_reach(name, g):
+    rng = random.Random(name)
+    a, b = relabeled(g, rng), relabeled(g, rng)
+    assert canonical_form(a) == canonical_form(b) == canonical_form(g)
+    assert is_isomorphic(a, b)
+
+
+def test_is_isomorphic_rejects_other_graphs_with_nine_edges():
+    c9 = graph_from_name("c9")
+    p9_chord = from_edge_list(9, graph_from_name("p9").edges() + [(2, 7)])
+    assert c9.num_edges() == p9_chord.num_edges()
+    assert not is_isomorphic(c9, p9_chord)
+    # same degree sequence, so only the canonical form can tell them apart
+    c4_c5 = disjoint_union(graph_from_name("c4"), graph_from_name("c5"))
+    assert not is_isomorphic(c9, c4_c5)
+    assert canonical_form(c9) != canonical_form(c4_c5)
+
+
+def test_is_isomorphic_compares_degrees_before_canonical_forms(monkeypatch):
+    def refuse(g):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr(graphs, "canonical_form", refuse)
+    star = from_edge_list(4, [(1, 2), (1, 3), (1, 4)])
+    assert not is_isomorphic(star, graph_from_name("p4"))
 
 
 def test_connected_enumeration_counts():
@@ -145,6 +262,17 @@ def test_connected_enumeration_counts():
     assert got == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
     seen = [canonical_form(g) for g in enumerate_connected_graphs(4)]
     assert len(seen) == len(set(seen))
+
+
+def test_enumeration_stream_is_pinned():
+    # recorded from the degree-class permutation walk, before the search
+    # replaced it: same graphs, same labels, same order
+    stream = list(enumerate_connected_graphs(7))
+    counts = [sum(1 for g in stream if g.n == n) for n in range(1, 8)]
+    assert tuple(counts) == CONNECTED_GRAPH_COUNTS
+    assert [g.n for g in stream] == sorted(g.n for g in stream)
+    digest = hashlib.sha256("\n".join(to_graph6(g) for g in stream).encode()).hexdigest()
+    assert digest == "09e09348d9c039224b1257e6e043f0c36ea3c615554a2c219fa487a2d68375fc"
 
 
 def test_enumeration_size_is_checked_at_the_call():
