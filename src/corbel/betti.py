@@ -20,21 +20,21 @@ from math import gcd
 
 from .errors import CapError
 from .graphs import Graph, from_edge_list
-from .groebner import GROEBNER_CAP, MonomialIdealSF, initial_ideal
+from .groebner import MonomialIdealSF, initial_ideal
 
 BETTI_VAR_CAP = 20
 LATTICE_CAP = 50000
 
 
-def lcm_lattice(ideal: MonomialIdealSF, cap: int = LATTICE_CAP) -> list[frozenset[int]]:
+def lcm_lattice(ideal: MonomialIdealSF) -> list[frozenset[int]]:
     """All joins of nonempty generator subsets, deduplicated and sorted."""
     lattice: set[frozenset[int]] = set()
     for g in ideal.generators:
         fresh = {g | u for u in lattice}
         fresh.add(g)
         lattice |= fresh
-        if len(lattice) > cap:
-            raise CapError("lcm lattice too large", size=len(lattice), cap=cap)
+        if len(lattice) > LATTICE_CAP:
+            raise CapError("lcm lattice too large", size=len(lattice), cap=LATTICE_CAP)
     return sorted(lattice, key=lambda s: (len(s), sorted(s)))
 
 
@@ -251,13 +251,13 @@ class BettiTable:
         }
 
 
-def betti_table(ideal: MonomialIdealSF, lattice_cap: int = LATTICE_CAP) -> BettiTable:
+def betti_table(ideal: MonomialIdealSF) -> BettiTable:
     """Betti table of R/I over the lcm lattice; exact, characteristic zero."""
     if ideal.n_vars > BETTI_VAR_CAP:
         raise CapError("betti table capped", size=ideal.n_vars, cap=BETTI_VAR_CAP)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     gen_masks = [sum(1 << v for v in g) for g in ideal.generators]
-    for sigma in lcm_lattice(ideal, cap=lattice_cap):
+    for sigma in lcm_lattice(ideal):
         smask = sum(1 << v for v in sigma)
         inside = [g for g in gen_masks if not g & ~smask]
         e = _join_e_vector(smask, inside)
@@ -323,27 +323,26 @@ def _bfs_order(g: Graph, start: int) -> list[int]:
     return order
 
 
-def _oracle_ideal(g: Graph, cap: int = GROEBNER_CAP) -> MonomialIdealSF:
+def _oracle_ideal(g: Graph) -> MonomialIdealSF:
     """The initial ideal the oracle resolves: the smallest of g's candidate labelings.
 
     The candidates are the labels as given, then for each vertex the
-    breadth-first order from it and that order reversed, a vertex's new
-    label being its position.  Each is scored by (sum of generator degrees,
-    generator count, candidate index).  A degree sum of 2|E| means the
-    labeling is closed and every generator is an edge's quadric, so the
-    search stops there.
+    breadth-first order from it, a vertex's new label being its position.
+    Each is scored by (sum of generator degrees, generator count, candidate
+    index).  A degree sum of 2|E| means the labeling is closed and every
+    generator is an edge's quadric, so the search stops there.  Reversed
+    orders are left out: under k -> n+1-k an admissible i-j path becomes one
+    from n+1-j to n+1-i, so x_k and y_(n+1-k) swap places in the initial
+    ideal, which keeps its score and its Betti table.
     """
     edges = g.edges()
     closed_sum = 2 * len(edges)
-    orders = [list(g.vertices())]
-    for v in g.vertices():
-        order = _bfs_order(g, v)
-        orders += [order, order[::-1]]
+    orders = [list(g.vertices())] + [_bfs_order(g, v) for v in g.vertices()]
     best = best_score = None
     for order in orders:
         pos = {v: k for k, v in enumerate(order, start=1)}
         relabeled = from_edge_list(g.n, [(pos[a], pos[b]) for a, b in edges])
-        ideal = initial_ideal(relabeled, cap=cap)
+        ideal = initial_ideal(relabeled)
         score = (sum(len(s) for s in ideal.generators), len(ideal.generators))
         if best_score is None or score < best_score:
             best, best_score = ideal, score
@@ -352,7 +351,7 @@ def _oracle_ideal(g: Graph, cap: int = GROEBNER_CAP) -> MonomialIdealSF:
     return best
 
 
-def oracle_depth_reg(g: Graph, cap: int = GROEBNER_CAP) -> tuple[int, int]:
+def oracle_depth_reg(g: Graph) -> tuple[int, int]:
     """(depth, regularity) of the edge binomial quotient of g, via Hochster.
 
     Computed on a lex initial ideal in the 2n-variable ring, taken under the
@@ -369,7 +368,7 @@ def oracle_depth_reg(g: Graph, cap: int = GROEBNER_CAP) -> tuple[int, int]:
     hit = _oracle_cache.get(key)
     if hit is not None:
         return hit
-    table = betti_table(_oracle_ideal(g, cap=cap))
+    table = betti_table(_oracle_ideal(g))
     result = (table.depth, table.reg)
     _oracle_cache[key] = result
     return result

@@ -297,6 +297,8 @@ def _enumerate_specs(args):
         return
     attachments = args.attachments if args.attachments is not None else ",".join(ATTACHMENT_POOL)
     names = tuple(x.strip() for x in attachments.split(",") if x.strip())
+    if not names or len(set(names)) != len(names):
+        raise UsageError(f"--attachments needs distinct graph names, got {attachments!r}")
     max_total = args.max_total if args.max_total is not None else 8
     pool = [(name, graph_from_name(name)) for name in names]
     for g in enumerate_connected_graphs(max_base):

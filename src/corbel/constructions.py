@@ -39,10 +39,10 @@ class GenCoronaSpec:
     def __post_init__(self):
         if len(self.attach_set) != len(self.attachments):
             raise InputError("attach_set and attachments must have equal length")
-        if len(set(self.attach_set)) != len(self.attach_set):
-            raise InputError("attach_set has repeated vertices")
         for v in self.attach_set:
             self.base._check_vertex(v)
+        if len(set(self.attach_set)) != len(self.attach_set):
+            raise InputError("attach_set has repeated vertices")
         for h in self.attachments:
             if h.n < 1:
                 raise InputError("attachments must be non-empty graphs")
@@ -72,6 +72,8 @@ def spec_from_json_dict(obj) -> GenCoronaSpec:
 
     if not isinstance(obj, dict) or not {"base", "S", "H"} <= set(obj):
         raise InputError("spec JSON must be an object with 'base', 'S', and 'H' keys")
+    if not (isinstance(obj["S"], list) and isinstance(obj["H"], list)):
+        raise InputError("spec JSON 'S' and 'H' must be lists")
     return GenCoronaSpec(
         from_json_dict(obj["base"]),
         tuple(obj["S"]),

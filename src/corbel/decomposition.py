@@ -46,10 +46,10 @@ class Cutset:
         }
 
 
-def enumerate_cutsets(g: Graph, cap: int = CUTSET_CAP) -> list[Cutset]:
+def enumerate_cutsets(g: Graph) -> list[Cutset]:
     """All cutsets, sorted by size then lexicographically."""
-    if g.n > cap:
-        raise CapError("cutset enumeration capped", size=g.n, cap=cap)
+    if g.n > CUTSET_CAP:
+        raise CapError("cutset enumeration capped", size=g.n, cap=CUTSET_CAP)
     allv = set(g.vertices())
     out = []
     for size in range(g.n + 1):
@@ -80,12 +80,12 @@ class MinimalPrime:
         return d
 
 
-def minimal_primes(g: Graph, m: int = 2, cap: int = CUTSET_CAP) -> list[MinimalPrime]:
+def minimal_primes(g: Graph, m: int = 2) -> list[MinimalPrime]:
     if m < 2:
         raise InputError("m must be at least 2")
     return [
         MinimalPrime(cs, m, (g.n - len(cs.vertices)) + (m - 1) * cs.c)
-        for cs in enumerate_cutsets(g, cap=cap)
+        for cs in enumerate_cutsets(g)
     ]
 
 
@@ -94,20 +94,16 @@ class DimensionResult(NamedTuple):
     witness: Cutset
 
 
-def dimension(g: Graph, m: int = 2, cap: int = CUTSET_CAP) -> DimensionResult:
+def dimension(g: Graph, m: int = 2) -> DimensionResult:
     """Krull dimension of the quotient: the largest minimal-prime dimension.
 
     The witness is the first maximizing cutset in (size, lex) order.
     """
-    primes = minimal_primes(g, m, cap=cap)
-    best = max(p.dim for p in primes)
-    for p in primes:
-        if p.dim == best:
-            return DimensionResult(best, p.cutset)
-    raise RuntimeError("unreachable")
+    best = max(minimal_primes(g, m), key=lambda p: p.dim)  # max keeps the first
+    return DimensionResult(best.dim, best.cutset)
 
 
-def is_unmixed(g: Graph, m: int = 2, cap: int = CUTSET_CAP) -> tuple[bool, Cutset | None]:
+def is_unmixed(g: Graph, m: int = 2) -> tuple[bool, Cutset | None]:
     """Whether all minimal primes share one dimension; witness on failure.
 
     At m = 2 this uses the component-count criterion c(T) = |T| + 1 directly;
@@ -117,7 +113,7 @@ def is_unmixed(g: Graph, m: int = 2, cap: int = CUTSET_CAP) -> tuple[bool, Cutse
         raise InputError("unmixedness check needs a connected graph")
     if m < 2:
         raise InputError("m must be at least 2")
-    cutsets = enumerate_cutsets(g, cap=cap)
+    cutsets = enumerate_cutsets(g)
     if m == 2:
         for cs in cutsets:
             if cs.c != len(cs.vertices) + 1:

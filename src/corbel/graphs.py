@@ -51,7 +51,7 @@ class Graph:
         return self.num_edges() == self.n * (self.n - 1) // 2
 
     def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 1 <= v <= self.n):
+        if not (type(v) is int and 1 <= v <= self.n):
             raise InputError(f"vertex {v!r} is not in 1..{self.n}")
 
     def __repr__(self) -> str:
@@ -60,7 +60,8 @@ class Graph:
 
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph on 1..n from an iterable of (i, j) pairs."""
-    if not (isinstance(n, int) and n >= 0):
+    # type(x) is int: a bool, such as JSON's true, is not a vertex count or label
+    if not (type(n) is int and n >= 0):
         raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
     nbrs: list[set[int]] = [set() for _ in range(n + 1)]
     for e in edges:
@@ -68,7 +69,7 @@ def from_edge_list(n: int, edges) -> Graph:
             i, j = e
         except (TypeError, ValueError):
             raise InputError(f"edge {e!r} is not a pair") from None
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (type(i) is int and type(j) is int):
             raise InputError(f"edge {e!r} has non-integer endpoints")
         if not (1 <= i <= n and 1 <= j <= n):
             raise InputError(f"edge {e!r} leaves the vertex range 1..{n}")
@@ -86,6 +87,8 @@ def to_json_dict(g: Graph) -> dict:
 def from_json_dict(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InputError("graph JSON must be an object with 'n' and 'edges' keys")
+    if not isinstance(obj["edges"], list):
+        raise InputError(f"graph JSON 'edges' must be a list, got {obj['edges']!r}")
     return from_edge_list(obj["n"], obj["edges"])
 
 

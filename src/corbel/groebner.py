@@ -122,14 +122,6 @@ class MonomialIdealSF:
                 raise InputError("generator supports are not inclusion-minimal")
         object.__setattr__(self, "generators", tuple(gens))
 
-    @staticmethod
-    def from_supports(n_vars: int, supports, minimalize: bool = False) -> "MonomialIdealSF":
-        sets = [frozenset(s) for s in supports]
-        if minimalize:
-            sets = [s for s in sets if not any(o < s for o in sets)]
-            sets = list(set(sets))
-        return MonomialIdealSF(n_vars, tuple(sets))
-
     def to_json_dict(self) -> dict:
         return {
             "n_vars": self.n_vars,
@@ -150,31 +142,31 @@ def _support_to_exp(nv: int, support) -> tuple[int, ...]:
     return tuple(exp)
 
 
-def reduced_groebner_basis(g: Graph, cap: int = GROEBNER_CAP) -> list[Binomial]:
+def reduced_groebner_basis(g: Graph) -> list[Binomial]:
     """Reduced lex basis: one element u * (x_i y_j - x_j y_i) per admissible path.
 
-    Two paths with the same support yield the same element; duplicates are
-    removed.  Sorted by leading term, largest first.
+    Distinct admissible paths give distinct leading terms.  Sorted by
+    leading term, largest first.
     """
-    if g.n > cap:
-        raise CapError("groebner path enumeration capped", size=g.n, cap=cap)
+    if g.n > GROEBNER_CAP:
+        raise CapError("groebner path enumeration capped", size=g.n, cap=GROEBNER_CAP)
     n = g.n
     nv = 2 * n
-    out = {}
+    out = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
         for path in admissible_paths(g, i, j):
             u = path.u_support(n)
             plus = _support_to_exp(nv, u | {i, n + j})
             minus = _support_to_exp(nv, u | {j, n + i})
-            out[plus] = Binomial(plus, minus)
-    return [out[k] for k in sorted(out, reverse=True)]
+            out.append(Binomial(plus, minus))
+    return sorted(out, key=lambda b: b.plus, reverse=True)
 
 
-def initial_ideal(g: Graph, cap: int = GROEBNER_CAP) -> MonomialIdealSF:
-    """Minimal generators of the lex initial ideal of the edge binomial ideal."""
-    basis = reduced_groebner_basis(g, cap=cap)
-    supports = [frozenset(k + 1 for k, e in enumerate(b.plus) if e) for b in basis]
-    return MonomialIdealSF.from_supports(2 * g.n, supports, minimalize=True)
+def initial_ideal(g: Graph) -> MonomialIdealSF:
+    """Minimal generators of the lex initial ideal: the basis's leading terms."""
+    basis = reduced_groebner_basis(g)
+    supports = (frozenset(k + 1 for k, e in enumerate(b.plus) if e) for b in basis)
+    return MonomialIdealSF(2 * g.n, tuple(supports))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +332,7 @@ def _update(pairs: list, live: list[int], lts: list[int], pk: _Packing) -> tuple
     return survivors, [g for g in live if not pk.divides(lt_h, lts[g])] + [new]
 
 
-def buchberger_oracle(g: Graph, cap: int = BUCHBERGER_CAP) -> MonomialIdealSF:
+def buchberger_oracle(g: Graph) -> MonomialIdealSF:
     """Initial ideal recomputed from scratch with Buchberger's algorithm.
 
     Takes only the edge binomials x_a y_b - x_b y_a.  Monomials are packed
@@ -355,8 +347,8 @@ def buchberger_oracle(g: Graph, cap: int = BUCHBERGER_CAP) -> MonomialIdealSF:
     non-squarefree leading term in it is reported as an internal
     consistency error.
     """
-    if g.n > cap:
-        raise CapError("buchberger oracle capped", size=g.n, cap=cap)
+    if g.n > BUCHBERGER_CAP:
+        raise CapError("buchberger oracle capped", size=g.n, cap=BUCHBERGER_CAP)
     n = g.n
     nv = 2 * n
     pk = _Packing(nv)
@@ -396,4 +388,4 @@ def buchberger_oracle(g: Graph, cap: int = BUCHBERGER_CAP) -> MonomialIdealSF:
         if any(e > 1 for e in exps):
             raise RuntimeError("internal consistency error: non-squarefree leading term")
         supports.append(frozenset(k + 1 for k, e in enumerate(exps) if e))
-    return MonomialIdealSF.from_supports(nv, supports, minimalize=True)
+    return MonomialIdealSF(nv, tuple(supports))

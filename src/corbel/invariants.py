@@ -15,6 +15,8 @@ from typing import NamedTuple
 from .errors import CapError, InputError
 from .graphs import Graph, connected_components, is_free_vertex
 
+MATCHING_CAP = 16
+
 
 def _component_diameter(g: Graph, comp: frozenset[int]) -> int:
     # BFS from every vertex of the component
@@ -60,13 +62,13 @@ def _edge_conflicts(g: Graph, edges: list[tuple[int, int]]) -> list[int]:
     return conflict
 
 
-def induced_matching_number(g: Graph, cap: int = 16) -> tuple[int, tuple[tuple[int, int], ...]]:
+def induced_matching_number(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Largest set of edges pairwise disjoint and mutually non-adjacent.
 
     Exact search; ties between maximum witnesses break lexicographically.
     """
-    if g.n > cap:
-        raise CapError("induced matching search capped", size=g.n, cap=cap)
+    if g.n > MATCHING_CAP:
+        raise CapError("induced matching search capped", size=g.n, cap=MATCHING_CAP)
     edges = g.edges()
     m = len(edges)
     if m == 0:

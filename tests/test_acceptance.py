@@ -21,7 +21,11 @@ from the engine that flagged it confirms the formula overshoots:
 The regression tests at the bottom pin the failing sets on their own.
 """
 
+import hashlib
+import json
+
 from corbel.betti import sr_dimension
+from corbel.checks import CHECKS
 from corbel.cli import g2_universe
 from corbel.decomposition import enumerate_cutsets
 from corbel.graphs import connected_components, induced_subgraph
@@ -231,3 +235,32 @@ def test_cm_sweep_passes_on_the_depth_counterexample(sweep):
     run = sweep("thm5.6")
     rec = next(r for r in run.records if r["id"] == KNOWN_DEPTH_BOUND_FAILURE)
     assert rec["verdict"] == "pass"
+
+
+# sha256 of json.dumps(run.records, sort_keys=True) for every default sweep.
+# A change meant to keep results byte-identical must leave these alone; a
+# change that moves a record updates its digest on purpose.
+RECORD_DIGESTS = {
+    "enum": "caa2d3aa722bc65e601b177273f464ae2b79a2c926ce28cb8cf7c313ddefb55a",
+    "exact-seq": "0624f9df3ec710171d8c4a1f62640095976323102f420dda15a38772d63ceffb",
+    "gb-oracle": "7642403fbc4769f870cf1798cafd6ebfd39bbb47473ba644474b7734c3528184",
+    "iv-drop": "0f66ab1213a2d10846da0765d34ddba2e8555f2f591a27bdee002ef7a13b1cd5",
+    "lem5.1": "adfa3e66e129cd1169a2baa77f44c602ba53624a2bbd31d8c50a7b240d0a31cc",
+    "thm2.4": "8c5de56b875c9525bc973ad68679f7224a28708a4c1e5a08d92171059bd50e25",
+    "thm2.5": "7d5aaf568c9290772493a438697bc5a0db1bb8e4ee5bbc13b533961b2f0f4814",
+    "thm3.2": "7f5df284dd91666ef1cc1696e7a8876e42acc9c5c9ab9209e2f6a6e4af680761",
+    "thm3.3": "b75f9cafaa8e83374a9851d18e6fae2a7a374fc063971afd27124fd88f475aaf",
+    "thm3.5": "7f5df284dd91666ef1cc1696e7a8876e42acc9c5c9ab9209e2f6a6e4af680761",
+    "thm4.2": "0ce84cdb9ddc1966386e68064f03fce1403809ed78be878c4f0d8dd42827d8e2",
+    "thm4.3": "0db7ad874a2b446913e4feb35f1a4247b634998a9103976841ff413654c02afb",
+    "thm4.6": "5c0f4e9233276215362ba54e1ec7cf7c23a711c63906f58172c5fdd4425c0725",
+    "thm5.6": "24d426923d9c24cfd9544d11123b9b32d2ad2acecc154f5da5610740bbaa8c02",
+}
+
+
+def test_default_sweep_records_are_pinned(sweep):
+    got = {
+        tag: hashlib.sha256(json.dumps(sweep(tag).records, sort_keys=True).encode()).hexdigest()
+        for tag in CHECKS
+    }
+    assert got == RECORD_DIGESTS

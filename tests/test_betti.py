@@ -120,8 +120,19 @@ def test_sr_dimension():
 
 
 def test_var_cap():
-    with pytest.raises(CapError):
+    with pytest.raises(CapError) as exc:
         betti_table(MonomialIdealSF(BETTI_VAR_CAP + 1, (frozenset({1, 2}),)))
+    assert (exc.value.size, exc.value.cap) == (BETTI_VAR_CAP + 1, BETTI_VAR_CAP)
+
+
+def test_lattice_cap_is_read_at_call_time(monkeypatch):
+    # the triangle's lattice has 6 elements; a real cap-sized lattice is too dear
+    monkeypatch.setattr(betti, "LATTICE_CAP", 5)
+    ideal = initial_ideal(graph_from_name("k3"))
+    for engine in (lcm_lattice, betti_table):
+        with pytest.raises(CapError) as exc:
+            engine(ideal)
+        assert (exc.value.size, exc.value.cap) == (6, 5)
 
 
 def _relabel_ideal(ideal, perm):
@@ -180,8 +191,17 @@ def test_oracle_caps_before_any_initial_ideal(monkeypatch):
         raise AssertionError("initial ideal built for a capped graph")
 
     monkeypatch.setattr(betti, "initial_ideal", forbidden)
-    with pytest.raises(CapError):
+    with pytest.raises(CapError) as exc:
         oracle_depth_reg(graph_from_name(f"p{BETTI_VAR_CAP // 2 + 1}"))
+    assert (exc.value.size, exc.value.cap) == (BETTI_VAR_CAP + 2, BETTI_VAR_CAP)
+
+
+def test_oracle_scores_the_given_labels_and_one_bfs_order_per_vertex(monkeypatch):
+    # C5 is not closed under any labeling, so no candidate ends the search early
+    built = []
+    monkeypatch.setattr(betti, "initial_ideal", lambda g: built.append(g) or initial_ideal(g))
+    betti._oracle_ideal(graph_from_name("c5"))
+    assert len(built) == 5 + 1
 
 
 def _k_polynomial_of_table(table):

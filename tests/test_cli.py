@@ -116,6 +116,31 @@ def test_analyze_rejects_bad_spec_json(tmp_path):
     assert rc == 2
 
 
+K1 = {"n": 1, "edges": []}
+K2 = {"n": 2, "edges": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "flag,doc",
+    [
+        ("--graph", {"n": 3, "edges": 5}),
+        ("--graph", {"n": True, "edges": []}),
+        ("--graph", {"n": 2, "edges": [[True, 2]]}),
+        ("--spec", {"base": K2, "S": 5, "H": [K1]}),
+        ("--spec", {"base": K2, "S": [1], "H": 5}),
+        ("--spec", {"base": K2, "S": [[1]], "H": [K1]}),
+        ("--spec", {"base": K2, "S": [True], "H": [K1]}),
+    ],
+    ids=["edges-int", "n-bool", "label-bool", "S-int", "H-int", "S-nested", "S-bool"],
+)
+def test_analyze_rejects_malformed_json(tmp_path, flag, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli("analyze", flag, str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_analyze_missing_file():
     rc, _, err = run_cli("analyze", "--graph", "/nonexistent/graph.json")
     assert rc == 2
@@ -278,6 +303,8 @@ def test_enumerate_output_is_unchanged_by_explicit_defaults():
         ("--class", "g2", "--max-total", "-3"),
         ("--class", "g1", "--max-total", "5"),
         ("--class", "g1", "--attachments", "k1"),
+        ("--class", "g2", "--attachments", ""),
+        ("--class", "g2", "--attachments", "k1,k1"),
     ],
 )
 def test_enumerate_rejects_bad_options(argv):

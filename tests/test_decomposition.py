@@ -8,6 +8,7 @@ from corbel.groebner import initial_ideal
 from corbel.betti import oracle_depth_reg, sr_dimension
 from corbel.constructions import GenCoronaSpec, whisker
 from corbel.decomposition import (
+    CUTSET_CAP,
     classify_cm,
     decompose_at_vertex,
     dimension,
@@ -91,10 +92,11 @@ def test_dimension_matches_depth_iff_cm():
 
 
 def test_cutset_cap():
-    with pytest.raises(CapError) as exc:
-        enumerate_cutsets(graph_from_name("p5"), cap=4)
-    assert exc.value.size == 5
-    assert exc.value.cap == 4
+    g = graph_from_name(f"p{CUTSET_CAP + 1}")
+    for engine in (enumerate_cutsets, minimal_primes, dimension, is_unmixed):
+        with pytest.raises(CapError) as exc:
+            engine(g)
+        assert (exc.value.size, exc.value.cap) == (CUTSET_CAP + 1, CUTSET_CAP)
 
 
 def test_decompose_at_vertex():

@@ -12,6 +12,7 @@ from corbel.constructions import whisker
 from corbel.errors import CapError, InputError, ParseError
 from corbel.graphs import (
     CONNECTED_GRAPH_COUNTS,
+    ENUMERATION_CAP,
     canonical_form,
     connected_components,
     disjoint_union,
@@ -277,8 +278,8 @@ def test_enumeration_stream_is_pinned():
 
 def test_enumeration_size_is_checked_at_the_call():
     with pytest.raises(CapError) as exc:
-        enumerate_connected_graphs(8)
-    assert (exc.value.size, exc.value.cap) == (8, 7)
+        enumerate_connected_graphs(ENUMERATION_CAP + 1)
+    assert (exc.value.size, exc.value.cap) == (ENUMERATION_CAP + 1, ENUMERATION_CAP)
     for bad in (0, -2, "5", 3.0):
         with pytest.raises(InputError):
             enumerate_connected_graphs(bad)

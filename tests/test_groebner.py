@@ -241,11 +241,41 @@ def test_make_monic_is_exact_for_non_unit_leads():
 
 
 def test_caps():
-    long_path = graph_from_name(f"p{GROEBNER_CAP + 1}")
-    with pytest.raises(CapError):
-        initial_ideal(long_path)
-    with pytest.raises(CapError):
-        buchberger_oracle(graph_from_name(f"p{BUCHBERGER_CAP + 1}"))
+    for engine, cap in (
+        (reduced_groebner_basis, GROEBNER_CAP),
+        (initial_ideal, GROEBNER_CAP),
+        (buchberger_oracle, BUCHBERGER_CAP),
+    ):
+        with pytest.raises(CapError) as exc:
+            engine(graph_from_name(f"p{cap + 1}"))
+        assert (exc.value.size, exc.value.cap) == (cap + 1, cap)
+
+
+def _reversed(g):
+    return from_edge_list(g.n, [(g.n + 1 - u, g.n + 1 - v) for u, v in g.edges()])
+
+
+SMALL_GRAPHS = [(to_graph6(g), g) for g in enumerate_connected_graphs(6)] + RELABELED_GRAPHS
+
+
+def test_reversed_labels_swap_x_and_y():
+    # under k -> n+1-k an admissible i-j path becomes an admissible path
+    # between the images of j and i, so the initial ideal is the original
+    # one with variable v renamed 2n+1-v: x_k and y_(n+1-k) trade places
+    for name, g in SMALL_GRAPHS:
+        nv = 2 * g.n
+        mirrored = MonomialIdealSF(
+            nv, tuple(frozenset(nv + 1 - v for v in s) for s in initial_ideal(g).generators)
+        )
+        assert initial_ideal(_reversed(g)) == mirrored, name
+
+
+def test_one_generator_per_admissible_path():
+    # distinct admissible paths give distinct leading terms, and those form
+    # an antichain, so the initial ideal has nothing to deduplicate or prune
+    for name, g in SMALL_GRAPHS:
+        paths = path_count(g)
+        assert paths == len(reduced_groebner_basis(g)) == len(initial_ideal(g).generators), name
 
 
 def test_monomial_ideal_validates_minimality():

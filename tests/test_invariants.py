@@ -5,11 +5,12 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from corbel.errors import InputError
+from corbel.errors import CapError, InputError
 from corbel.graphs import disjoint_union, from_edge_list, graph_from_name
 from corbel.groebner import initial_ideal
 from corbel.constructions import whisker_matching_labeling
 from corbel.invariants import (
+    MATCHING_CAP,
     free_vertex_counts,
     hypergraph_induced_matching_bound,
     induced_matching_number,
@@ -63,6 +64,12 @@ def test_induced_matching():
     assert len(witness) == 2
     assert induced_matching_number(graph_from_name("c5"))[0] == 1
     assert induced_matching_number(graph_from_name("p4"))[0] == 1
+
+
+def test_induced_matching_cap():
+    with pytest.raises(CapError) as exc:
+        induced_matching_number(graph_from_name(f"p{MATCHING_CAP + 1}"))
+    assert (exc.value.size, exc.value.cap) == (MATCHING_CAP + 1, MATCHING_CAP)
 
 
 def test_gap_free():
