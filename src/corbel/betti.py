@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import CapError
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, canonical_form, from_edge_list
 from .groebner import MonomialIdealSF, initial_ideal
 
 BETTI_VAR_CAP = 20
@@ -295,7 +295,7 @@ def sr_dimension(ideal: MonomialIdealSF) -> int:
     return best
 
 
-_oracle_cache: dict[tuple[int, frozenset[tuple[int, int]]], tuple[int, int]] = {}
+_oracle_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def _bfs_order(g: Graph, start: int) -> list[int]:
@@ -360,11 +360,12 @@ def oracle_depth_reg(g: Graph) -> tuple[int, int]:
     regularity equal those of the binomial ideal itself (Conca-Varbaro,
     square-free Groebner degenerations), and hence do not depend on the
     labeling; its lcm lattice does, by several times.  Results are cached
-    per labeled graph.
+    per isomorphism class, under ``canonical_form(g)``, so a relabeling of
+    a graph already resolved builds no second table.
     """
     if 2 * g.n > BETTI_VAR_CAP:
         raise CapError("betti table capped", size=2 * g.n, cap=BETTI_VAR_CAP)
-    key = (g.n, frozenset(g.edges()))
+    key = canonical_form(g)
     hit = _oracle_cache.get(key)
     if hit is not None:
         return hit

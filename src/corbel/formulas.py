@@ -219,10 +219,15 @@ def dim_g2prime(spec: GenCoronaSpec, dim_of_h) -> BoundReport:
     On the lem5.1 sweep universe this fails on exactly one instance, the
     double star k2|S=1,2|H=2k1,2k1: S is the whole base and every attachment
     is disconnected.  The formula gives 9; the cutset dimension and the
-    Stanley-Reisner dimension of the initial ideal both give 8.  PAPER.md
-    holds only the abstract, so it does not settle whether the lemma
-    excludes that case (for example by asking for connected attachments, as
-    thm3.2 and thm3.5 do); the formula is evaluated as stated.
+    Stanley-Reisner dimension of the initial ideal both give 8.  The same
+    pattern, disconnected attachments on every vertex of a whole complete
+    base, puts the formula 1 above both dimensions on K2, K3 and K4 with 2K1
+    on every vertex and on K2 and K3 with 3K1 on every vertex.  Once any
+    attachment is connected the two agree (k2 with 2K1 and K1 gives 7 = 7;
+    k3 with 2K1, 2K1 and K2 gives 12 = 12).  PAPER.md holds only the
+    abstract, so it does not settle whether the lemma excludes that case
+    (for example by asking for connected attachments, as thm3.2 and thm3.5
+    do); the formula is evaluated as stated.
     """
     if not spec.base.is_complete():
         raise InputError("dimension formula needs a complete base")

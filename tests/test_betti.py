@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corbel import betti
+from corbel.checks import CHECKS, g2_universe
+from corbel.cli import run_verification
 from corbel.constructions import whisker
 from corbel.errors import CapError
 from corbel.graphs import (
+    canonical_form,
     disjoint_union,
     enumerate_connected_graphs,
     from_edge_list,
@@ -162,20 +165,22 @@ def test_oracle_is_graph_label_invariant(perm):
     assert oracle_depth_reg(relabeled) == oracle_depth_reg(base)
 
 
-def _oracle_graphs():
-    """Connected graphs on at most 5 vertices, a seeded relabeling of each, W(P3)."""
+def _relabeled(g, rng):
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+
+
+def _class_pairs():
+    """Connected graphs on at most 5 vertices and W(P3), each with a seeded relabeling."""
     rng = random.Random(20260218)
-    out = []
-    for g in enumerate_connected_graphs(5):
-        perm = list(g.vertices())
-        rng.shuffle(perm)
-        shuffled = from_edge_list(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
-        out += [(to_graph6(g), g), (f"{to_graph6(g)}-shuffled", shuffled)]
-    out.append(("W(p3)", whisker(graph_from_name("p3"))[1]))
-    return out
+    named = [(to_graph6(g), g) for g in enumerate_connected_graphs(5)]
+    named.append(("W(p3)", whisker(graph_from_name("p3"))[1]))
+    return [(k, g, _relabeled(g, rng)) for k, g in named]
 
 
-ORACLE_GRAPHS = _oracle_graphs()
+CLASS_PAIRS = _class_pairs()
+ORACLE_GRAPHS = [x for k, g, h in CLASS_PAIRS for x in ((k, g), (f"{k}-shuffled", h))]
 
 
 @pytest.mark.parametrize("g", [g for _, g in ORACLE_GRAPHS], ids=[k for k, _ in ORACLE_GRAPHS])
@@ -184,6 +189,91 @@ def test_oracle_matches_the_input_labels(g):
     # must be those of the initial ideal on the labels as given
     t = betti_table(initial_ideal(g))
     assert oracle_depth_reg(g) == (t.depth, t.reg)
+
+
+@pytest.mark.parametrize("g,h", [p[1:] for p in CLASS_PAIRS], ids=[p[0] for p in CLASS_PAIRS])
+def test_class_cache_answers_as_a_fresh_call_under_each_labeling(monkeypatch, g, h):
+    # the graph and its relabeling build one table between them
+    monkeypatch.setattr(betti, "_oracle_cache", {})
+    built = []
+    monkeypatch.setattr(betti, "betti_table", lambda ideal: built.append(ideal) or betti_table(ideal))
+    cached = [oracle_depth_reg(g), oracle_depth_reg(h)]
+    assert len(built) == 1
+    fresh = []
+    for x in (g, h):
+        betti._oracle_cache.clear()
+        fresh.append(oracle_depth_reg(x))
+    assert cached == fresh
+
+
+def _graph_from_key(key):
+    """The graph a canonical_form key encodes: bit (b-1)(b-2)/2 + (a-1) is edge ab."""
+    n, mask = key
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return from_edge_list(n, [(a, b) for a, b in pairs if mask >> ((b - 1) * (b - 2) // 2 + a - 1) & 1])
+
+
+def _isomorphism(g, h):
+    """A vertex map g -> h carrying edges onto edges, by backtracking, or None."""
+    if g.n != h.n or len(g.edges()) != len(h.edges()):
+        return None
+    order = sorted(g.vertices(), key=lambda v: -len(g.adj[v]))
+    image: dict[int, int] = {}
+
+    def extend(k):
+        if k == len(order):
+            return True
+        v = order[k]
+        for w in h.vertices():
+            if w in image.values() or len(h.adj[w]) != len(g.adj[v]):
+                continue
+            if all((u in g.adj[v]) == (image[u] in h.adj[w]) for u in order[:k]):
+                image[v] = w
+                if extend(k + 1):
+                    return True
+                del image[v]
+        return False
+
+    return dict(image) if extend(0) else None
+
+
+def _assert_key_encodes(g):
+    h = _graph_from_key(canonical_form(g))
+    image = _isomorphism(g, h)
+    assert image is not None and sorted(image.values()) == list(h.vertices())
+    assert {frozenset(map(image.get, e)) for e in g.edges()} == set(map(frozenset, h.edges()))
+
+
+def test_every_oracle_key_of_the_default_sweeps_encodes_its_input(monkeypatch):
+    # each key decodes to a graph isomorphic to the input, so equal keys mean
+    # isomorphic graphs and a cache hit never answers for another class
+    seen = {}
+    real = betti.oracle_depth_reg
+
+    def recording(g):
+        seen.setdefault((g.n, frozenset(g.edges())), g)
+        return real(g)
+
+    monkeypatch.setattr(betti, "oracle_depth_reg", recording)
+    for tag in CHECKS:
+        run_verification(tag)
+    assert len(seen) >= 200 and max(g.n for g in seen.values()) == 8
+    for g in seen.values():
+        _assert_key_encodes(g)
+
+
+def test_every_oracle_key_one_size_up_encodes_its_input():
+    # the oracle's largest inputs, 9 and 10 vertices, where no brute-force
+    # reference reaches: the composites of `thm5.6 --max-total 10` and the
+    # whiskers of `thm3.3 --max-base 5`, each also under a seeded relabeling
+    rng = random.Random(5)
+    graphs = [spec.composite() for _, spec in g2_universe(max_total=10)]
+    graphs = [g for g in graphs if g.n >= 9]
+    graphs += [whisker(g)[1] for g in enumerate_connected_graphs(5) if g.n == 5]
+    assert len(graphs) == 75 + 21
+    for g in graphs:
+        _assert_key_encodes(g)
+        _assert_key_encodes(_relabeled(g, rng))
 
 
 def test_oracle_caps_before_any_initial_ideal(monkeypatch):

@@ -3,6 +3,7 @@
 import io
 import json
 import contextlib
+import hashlib
 
 import pytest
 
@@ -249,7 +250,8 @@ def test_pool_is_clamped_to_cpus_and_instances(monkeypatch):
     assert sizes == [3, 2]
 
 
-def test_real_pool_matches_the_serial_run(monkeypatch):
+def _real_pool_of_two(monkeypatch) -> list:
+    """Record each real pool's size; workers start from empty caches."""
     sizes = []
 
     class RecordingPool(cli.ProcessPoolExecutor):
@@ -259,14 +261,31 @@ def test_real_pool_matches_the_serial_run(monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    # workers start from empty caches, so they compute every record themselves
+    # so the workers compute every record themselves
     monkeypatch.setattr(betti, "_oracle_cache", {})
     monkeypatch.setattr(betti, "_cluster_cache", {})
+    return sizes
+
+
+def test_real_pool_matches_the_serial_run(monkeypatch):
+    sizes = _real_pool_of_two(monkeypatch)
     pooled = run_verification("thm4.6", jobs=2)
     assert sizes == [2]
     serial = run_verification("thm4.6", jobs=1)
     assert pooled.universe == serial.universe
     assert pooled.records == serial.records
+
+
+def test_real_pool_matches_the_pinned_digest_where_classes_repeat(monkeypatch):
+    # thm3.2's 89 coronas fall into 40 isomorphism classes, so labelings of
+    # one class land in different workers, each with its own class cache
+    from test_acceptance import RECORD_DIGESTS
+
+    sizes = _real_pool_of_two(monkeypatch)
+    pooled = run_verification("thm3.2", jobs=2)
+    assert sizes == [2]
+    digest = hashlib.sha256(json.dumps(pooled.records, sort_keys=True).encode()).hexdigest()
+    assert digest == RECORD_DIGESTS["thm3.2"]
 
 
 def test_enumerate_streams_specs():

@@ -9,8 +9,9 @@ verification sweeps report them as failures as well.
 import pytest
 
 from corbel.errors import InputError
-from corbel.graphs import disjoint_union, from_edge_list, graph_from_name
-from corbel.betti import oracle_depth_reg
+from corbel.graphs import disjoint_union, from_edge_list, graph_from_name, is_connected
+from corbel.betti import oracle_depth_reg, sr_dimension
+from corbel.groebner import initial_ideal
 from corbel.constructions import GenCoronaSpec, whisker, whisker_on_set
 from corbel.decomposition import dimension
 from corbel.formulas import (
@@ -124,6 +125,37 @@ def test_dim_g2prime():
         dim_g2prime(whisker(P3)[0], (2, 2, 2))  # base not complete
 
 
+def _spec(instance_id):
+    """The corona a sweep id such as ``k2|S=1,2|H=c4,k1`` names."""
+    base, attach_set, attachments = (part.split("=")[-1] for part in instance_id.split("|"))
+    return GenCoronaSpec(
+        graph_from_name(base),
+        tuple(int(v) for v in attach_set.split(",")),
+        tuple(graph_from_name(h) for h in attachments.split(",")),
+    )
+
+
+# On the default universe thm3.5 repeats thm3.2, since K1, K2 and P3 each
+# have depth f + d.  A 4-cycle has depth 4 against f + d = 2, so on
+# C4-attached coronas the binomial bound is strictly the stronger of the two.
+@pytest.mark.parametrize(
+    "instance_id,depth,gen,binom",
+    [
+        ("k2|S=1|H=c4", 6, 4, 6),
+        ("k2|S=1,2|H=c4,k1", 7, 5, 7),
+        ("p3|S=2|H=c4", 8, 5, 7),
+        ("k3|S=1|H=c4", 7, 5, 7),
+        ("k2|S=1,2|H=c4,k2", 8, 6, 8),
+    ],
+)
+def test_binomial_bound_is_checked_apart_from_the_general_one(instance_id, depth, gen, binom):
+    spec = _spec(instance_id)
+    depths = [oracle_depth_reg(h)[0] for h in spec.attachments]
+    assert depth_lower_bound_g2_gen(spec, 2).value == gen
+    assert depth_lower_bound_g2_binom(spec, depths).value == binom > gen
+    assert oracle_depth_reg(spec.composite())[0] == depth >= binom
+
+
 def test_bound_report_json():
     rep = depth_lower_bound_general(P3, 2)
     doc = rep.to_json_dict()
@@ -155,3 +187,32 @@ def test_double_star_breaks_dimension_formula():
     spec = GenCoronaSpec(K2, (1, 2), (two, two))
     assert dim_g2prime(spec, (4, 4)).value == 9
     assert dimension(spec.composite()).value == 8
+
+
+# S is the whole complete base and every attachment is disconnected: the
+# formula exceeds the cutset dimension by exactly 1, and the Stanley-Reisner
+# dimension of the initial ideal, which never enumerates cut sets, agrees
+# with the cutset dimension.  One connected attachment closes the gap.
+@pytest.mark.parametrize(
+    "instance_id,formula,dim",
+    [
+        ("k2|S=1,2|H=2k1,2k1", 9, 8),
+        ("k3|S=1,2,3|H=2k1,2k1,2k1", 13, 12),
+        ("k4|S=1,2,3,4|H=2k1,2k1,2k1,2k1", 17, 16),
+        ("k2|S=1,2|H=3k1,3k1", 13, 12),
+        ("k3|S=1,2,3|H=3k1,3k1,3k1", 19, 18),
+        ("k2|S=1,2|H=2k1,k1", 7, 7),
+        ("k3|S=1,2,3|H=2k1,2k1,k2", 12, 12),
+    ],
+)
+def test_dimension_formula_on_disconnected_attachments_over_a_whole_complete_base(
+    instance_id, formula, dim
+):
+    spec = _spec(instance_id)
+    assert spec.attach_set == tuple(spec.base.vertices()) and spec.base.is_complete()
+    dims = [dimension(h).value for h in spec.attachments]
+    composite = spec.composite()
+    assert dim_g2prime(spec, dims).value == formula
+    assert dimension(composite).value == sr_dimension(initial_ideal(composite)) == dim
+    connected = any(is_connected(h) for h in spec.attachments)
+    assert formula - dim == (0 if connected else 1)
