@@ -65,20 +65,16 @@ ATTACHMENT_POOL = ("k1", "k2", "p3", "2k1")
 CRITERION_BASES = ("k2", "k3", "p3")
 
 
-def g2_universe(
-    bases=CRITERION_BASES,
-    attachments=ATTACHMENT_POOL,
-    max_total: int = 8,
-) -> list[tuple[str, GenCoronaSpec]]:
-    """Covered corona specs over the named bases, bounded by total size.
+def g2_universe(max_total: int = 8) -> list[tuple[str, GenCoronaSpec]]:
+    """Covered corona specs over CRITERION_BASES, bounded by total size.
 
     Every subset S of base vertices containing all non-free ones is used,
-    with every assignment of named attachments to S, kept when the composite
-    stays within max_total vertices.  Sorted by id.
+    with every assignment of ATTACHMENT_POOL graphs to S, kept when the
+    composite stays within max_total vertices.  Sorted by id.
     """
-    pool = [(name, graph_from_name(name)) for name in attachments]
+    pool = [(name, graph_from_name(name)) for name in ATTACHMENT_POOL]
     out = []
-    for base_name in bases:
+    for base_name in CRITERION_BASES:
         base = graph_from_name(base_name)
         for names, spec in covered_coronas(base, pool, max_total):
             s = spec.attach_set

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .errors import InputError
 from .graphs import (
     Graph,
-    connected_components,
     from_edge_list,
     g_v_operation,
     induced_subgraph,
@@ -273,6 +272,3 @@ def whisker_matching_labeling(g: Graph) -> Graph:
         edges.append((4 + l, p + 2 + l))
     return from_edge_list(2 * p, edges)
 
-
-def attachment_components(h: Graph) -> int:
-    return len(connected_components(h))

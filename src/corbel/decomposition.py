@@ -2,7 +2,11 @@
 
 A vertex set T is a cutset when every one of its members v is a cut vertex
 of the graph left after deleting the other members; the empty set always
-qualifies.  Each cutset T names a minimal prime whose dimension is
+qualifies.  One component search on G - T decides this: putting v back into
+G - T merges the k components it has neighbours in into one, so the count
+drops, and v is a cut vertex of G - (T - v), exactly when k >= 2.
+
+Each cutset T names a minimal prime whose dimension is
 (n - |T|) + (m - 1) * c(T): every component left after deleting T
 contributes its vertex count plus m - 1, the deleted block contributes
 nothing.
@@ -54,14 +58,8 @@ def enumerate_cutsets(g: Graph) -> list[Cutset]:
     out = []
     for size in range(g.n + 1):
         for t in itertools.combinations(sorted(allv), size):
-            tset = set(t)
-            parts = connected_components(g, allv - tset)
-            ok = True
-            for v in t:
-                if len(parts) <= len(connected_components(g, allv - (tset - {v}))):
-                    ok = False
-                    break
-            if ok:
+            parts = connected_components(g, allv.difference(t))
+            if all(sum(1 for p in parts if g.adj[v] & p) >= 2 for v in t):
                 out.append(Cutset(frozenset(t), tuple(parts)))
     return out
 
@@ -106,23 +104,15 @@ def dimension(g: Graph, m: int = 2) -> DimensionResult:
 def is_unmixed(g: Graph, m: int = 2) -> tuple[bool, Cutset | None]:
     """Whether all minimal primes share one dimension; witness on failure.
 
-    At m = 2 this uses the component-count criterion c(T) = |T| + 1 directly;
-    for larger m it compares prime dimensions.
+    The witness is the first cutset in (size, lex) order whose prime's
+    dimension differs from that of the empty cutset's prime.
     """
     if not is_connected(g) or g.n == 0:
         raise InputError("unmixedness check needs a connected graph")
-    if m < 2:
-        raise InputError("m must be at least 2")
-    cutsets = enumerate_cutsets(g)
-    if m == 2:
-        for cs in cutsets:
-            if cs.c != len(cs.vertices) + 1:
-                return False, cs
-        return True, None
-    dims = [(g.n - len(cs.vertices)) + (m - 1) * cs.c for cs in cutsets]
-    for cs, d in zip(cutsets, dims):
-        if d != dims[0]:
-            return False, cs
+    primes = minimal_primes(g, m)
+    for p in primes:
+        if p.dim != primes[0].dim:
+            return False, p.cutset
     return True, None
 
 

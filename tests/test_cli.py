@@ -179,6 +179,14 @@ def test_verify_unknown_tag():
     assert "unknown verification tag" in err
 
 
+def test_verify_takes_no_m_option(capsys):
+    # sweeps always run at m = 2; argparse reads --m as an ambiguous prefix
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "enum", "--m", "2"])
+    assert exc.value.code == 2
+    assert "--m" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_rejects_jobs_below_one(jobs):
     rc, _, err = run_cli("verify", "enum", "--jobs", jobs)

@@ -5,7 +5,6 @@ import pytest
 from corbel.errors import InputError
 from corbel.constructions import (
     GenCoronaSpec,
-    attachment_components,
     class_membership,
     cone,
     generalized_corona,
@@ -64,11 +63,6 @@ def test_non_free_vertices():
     assert non_free_vertices(graph_from_name("p3")) == frozenset({2})
     assert non_free_vertices(graph_from_name("k3")) == frozenset()
     assert non_free_vertices(graph_from_name("c4")) == frozenset({1, 2, 3, 4})
-
-
-def test_attachment_components():
-    assert attachment_components(graph_from_name("2k1")) == 2
-    assert attachment_components(graph_from_name("p3")) == 1
 
 
 def test_membership_full_whisker():

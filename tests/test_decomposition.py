@@ -1,9 +1,20 @@
 """Cutsets, minimal primes, dimension, and the Cohen-Macaulay classifier."""
 
+import itertools
+
 import pytest
 
+from corbel.checks import g2_universe
 from corbel.errors import CapError, InputError
-from corbel.graphs import from_edge_list, graph_from_name
+from corbel.graphs import (
+    connected_components,
+    enumerate_connected_graphs,
+    from_edge_list,
+    graph_from_name,
+    induced_subgraph,
+    is_cut_vertex,
+    to_graph6,
+)
 from corbel.groebner import initial_ideal
 from corbel.betti import oracle_depth_reg, sr_dimension
 from corbel.constructions import GenCoronaSpec, whisker
@@ -33,6 +44,54 @@ def test_cutset_parts():
     cs = {frozenset(c.vertices): c for c in enumerate_cutsets(graph_from_name("p4"))}
     parts = cs[frozenset({2})].parts
     assert sorted(sorted(p) for p in parts) == [[1], [3, 4]]
+
+
+@pytest.fixture(scope="module")
+def comparison_graphs():
+    """Every connected graph on at most 6 vertices and every default corona."""
+    corona = [spec.composite() for _, spec in g2_universe()]
+    return list(enumerate_connected_graphs(6)) + corona
+
+
+def reference_cutsets(g):
+    """(T, parts) for each T whose members v are cut vertices of G - (T - v)."""
+    allv = set(g.vertices())
+    out = []
+    for size in range(g.n + 1):
+        for t in itertools.combinations(g.vertices(), size):
+            kept = True
+            for v in t:
+                sub, label = induced_subgraph(g, allv - (set(t) - {v}))
+                kept = kept and is_cut_vertex(sub, label[v])
+            if kept:
+                rest, label = induced_subgraph(g, allv - set(t))
+                old = {new: o for o, new in label.items()}
+                parts = [frozenset(old[u] for u in p) for p in connected_components(rest)]
+                out.append((frozenset(t), tuple(parts)))
+    return out
+
+
+def test_cutsets_match_the_cut_vertex_definition(comparison_graphs):
+    assert len(comparison_graphs) == 143 + 161
+    for g in comparison_graphs:
+        got = [(c.vertices, c.parts) for c in enumerate_cutsets(g)]
+        assert got == reference_cutsets(g), to_graph6(g)
+
+
+def test_unmixed_at_two_is_the_component_count_criterion(comparison_graphs):
+    # at m = 2 every prime has the empty cutset's dimension n + 1 exactly
+    # when c(T) = |T| + 1
+    mixed = 0
+    for g in comparison_graphs:
+        bad = [t for t, parts in reference_cutsets(g) if len(parts) != len(t) + 1]
+        ok, witness = is_unmixed(g, 2)
+        assert ok == (not bad), to_graph6(g)
+        if bad:
+            mixed += 1
+            assert witness.vertices == bad[0], to_graph6(g)
+        else:
+            assert witness is None
+    assert 0 < mixed < len(comparison_graphs)
 
 
 def test_minimal_primes_p4():
