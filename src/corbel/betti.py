@@ -1,8 +1,20 @@
 """Exact Betti tables of squarefree monomial ideals, and the homological oracle.
 
-Graded Betti numbers of R/I come from reduced simplicial homology of
-restrictions of the Stanley-Reisner complex, summed over the lcm lattice
-(restrictions outside the lattice are cones and contribute nothing).  All
+A Betti table is built in three steps.  First the lcm lattice: every
+multidegree with a nonzero graded Betti number of R/I is in it.  Second the
+Mayer-Vietoris tree (E. Saenz-de-Cabezon, Multigraded Betti numbers without
+computing minimal free resolutions, AAECC 20, 2009), which emits
+multidegrees at positions.  Write I = J + (m_r), and K for the intersection
+of J and (m_r), generated by the lcms of m_r with the generators of J.  The
+Mayer-Vietoris sequence bounds beta_{i,a}(I) by beta_{i,a}(J) +
+beta_{i,a}((m_r)) + beta_{i-1,a}(K), and Hilbert series add along it.
+Unrolled, a multidegree a emitted c times at position s bounds
+beta_{s+1,a}(R/I) by c, and at each a the alternating sums of emitted
+counts and of Betti numbers agree.  So a multidegree the tree never emits
+has no Betti numbers, and one emitted at a single position s, c times, has
+beta_{s+1,a} = c.  Third, Hochster's formula, only on the multidegrees
+emitted at two or more positions: their Betti numbers come from reduced
+simplicial homology of restrictions of the Stanley-Reisner complex.  All
 homology is computed over the rationals by exact integer elimination; no
 floating point anywhere.  Characteristic zero is baked in.
 
@@ -16,6 +28,7 @@ the cheapest of a few relabelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .errors import CapError
@@ -28,14 +41,44 @@ LATTICE_CAP = 50000
 
 def lcm_lattice(ideal: MonomialIdealSF) -> list[frozenset[int]]:
     """All joins of nonempty generator subsets, deduplicated and sorted."""
-    lattice: set[frozenset[int]] = set()
-    for g in ideal.generators:
+    lattice: set[int] = set()
+    for g in _masks(ideal):
         fresh = {g | u for u in lattice}
         fresh.add(g)
         lattice |= fresh
         if len(lattice) > LATTICE_CAP:
             raise CapError("lcm lattice too large", size=len(lattice), cap=LATTICE_CAP)
-    return sorted(lattice, key=lambda s: (len(s), sorted(s)))
+    # supports of one size sort as lists in the reverse order of their masks
+    # written lowest bit first, as strings: the first bit where two differ is
+    # the smaller variable, and it lies in the smaller support
+    width = f"0{ideal.n_vars + 1}b"
+    order = sorted(lattice, key=lambda m: format(m, width)[::-1], reverse=True)
+    order.sort(key=int.bit_count)
+    return _supports(order, ideal.n_vars + 1)
+
+
+def _masks(ideal: MonomialIdealSF) -> list[int]:
+    """Generator supports as bitmasks, bit v for variable v."""
+    return [sum(1 << v for v in g) for g in ideal.generators]
+
+
+@cache
+def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """[b]: the bits that byte value b sets as byte k of a mask."""
+    return tuple(tuple(8 * k + v for v in range(8) if b >> v & 1) for b in range(256))
+
+
+def _supports(masks, width: int) -> list[frozenset[int]]:
+    """The set bits of each width-bit mask, as frozensets."""
+    tables = [_byte_table(k) for k in range((width + 7) // 8)]
+    out = []
+    for m in masks:
+        bits = ()
+        for table in tables:
+            bits += table[m & 255]
+            m >>= 8
+        out.append(frozenset(bits))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +294,79 @@ class BettiTable:
         }
 
 
+def _tree_order(mask: int) -> tuple[int, int, int]:
+    """Generator order in a tree node: lowest variable, then degree, then mask."""
+    return (mask & -mask, mask.bit_count(), mask)
+
+
+def _minimal(masks: set[int]) -> list[int]:
+    """The inclusion-minimal masks, in tree order."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return sorted(kept, key=_tree_order)
+
+
+def _mayer_vietoris_tree(gen_masks: list[int]) -> dict[int, dict[int, int]]:
+    """Multidegrees the Mayer-Vietoris tree emits: mask -> {position: count}.
+
+    A node is a list of minimal generators at a position s; the root is the
+    ideal at s = 0.  A node emits (s, m_k) for each of its generators m_k
+    and, for each k >= 2, has a child at s + 1 on the minimal elements of
+    {lcm(m_j, m_k) : j < k}.  Raises CapError past LATTICE_CAP nodes.
+    """
+    emitted: dict[int, dict[int, int]] = {}
+    stack = [(0, sorted(gen_masks, key=_tree_order))]
+    nodes = 0
+    while stack:
+        s, gens = stack.pop()
+        nodes += 1
+        if nodes > LATTICE_CAP:
+            raise CapError("Mayer-Vietoris tree too large", size=nodes, cap=LATTICE_CAP)
+        for k, m in enumerate(gens):
+            at = emitted.setdefault(m, {})
+            at[s] = at.get(s, 0) + 1
+            if k:
+                stack.append((s + 1, _minimal({g | m for g in gens[:k]})))
+    return emitted
+
+
 def betti_table(ideal: MonomialIdealSF) -> BettiTable:
-    """Betti table of R/I over the lcm lattice; exact, characteristic zero."""
+    """Betti table of R/I; exact, characteristic zero.
+
+    Each multidegree of the lcm lattice is read off the Mayer-Vietoris tree
+    when the tree emits it at one position only, and computed by Hochster's
+    formula when the tree emits it at two or more.
+    """
     if ideal.n_vars > BETTI_VAR_CAP:
         raise CapError("betti table capped", size=ideal.n_vars, cap=BETTI_VAR_CAP)
+    lattice = lcm_lattice(ideal)
+    gen_masks = _masks(ideal)
+    tree = _mayer_vietoris_tree(gen_masks)
+    emitted = dict(zip(_supports(tree, ideal.n_vars + 1), tree.values()))
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    gen_masks = [sum(1 << v for v in g) for g in ideal.generators]
-    for sigma in lcm_lattice(ideal):
+    found = 0
+    for sigma in lattice:
+        at = emitted.get(sigma)
+        if at is None:
+            continue
+        found += 1
+        j = len(sigma)
+        if len(at) == 1:
+            ((s, count),) = at.items()
+            entries[(s + 1, j)] = entries.get((s + 1, j), 0) + count
+            continue
         smask = sum(1 << v for v in sigma)
         inside = [g for g in gen_masks if not g & ~smask]
-        e = _join_e_vector(smask, inside)
-        j = len(sigma)
-        for k, rank in enumerate(e):
+        for k, rank in enumerate(_join_e_vector(smask, inside)):
             if rank:
                 i = j - k
-                if i < 1:
+                if i - 1 not in at:
                     raise RuntimeError("internal consistency error: homological index")
                 entries[(i, j)] = entries.get((i, j), 0) + rank
+    if found != len(emitted):
+        raise RuntimeError("internal consistency error: tree multidegree outside the lcm lattice")
     pd = max(i for i, _ in entries)
     reg = max(j - i for i, j in entries)
     ordered = tuple(sorted(entries.items()))

@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--graph6", help="graph6 string")
     p_an.add_argument("--spec", help="path to a construction JSON file {base, S, H}")
     p_an.add_argument("--m", type=int, default=2, help="row count of the complete pairing graph")
-    p_an.add_argument("--oracle", action="store_true", help="include Groebner oracle depth/reg")
+    p_an.add_argument("--oracle", action="store_true", help="include homological oracle depth/reg")
     p_an.add_argument("--decompose", action="store_true", help="include cutset decomposition")
     p_an.add_argument("--out", help="write the report here instead of stdout")
     p_an.add_argument("--format", choices=("json", "csv"), default="json")

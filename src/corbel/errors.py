@@ -16,9 +16,11 @@ class ParseError(ValueError):
 
 
 class CapError(RuntimeError):
-    """A computation exceeded one of its hard size caps."""
+    """A computation exceeded one of its hard size caps; the message names both when given."""
 
     def __init__(self, message: str, size: int | None = None, cap: int | None = None):
+        if size is not None and cap is not None:
+            message = f"{message} (size {size} > cap {cap})"
         super().__init__(message)
         self.size = size
         self.cap = cap

@@ -1,4 +1,4 @@
-"""Homological oracle: lcm-lattice Betti numbers, depth, reg, dimension."""
+"""Homological oracle: Mayer-Vietoris tree Betti numbers, depth, reg, dimension."""
 
 import itertools
 import random
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from corbel import betti
 from corbel.checks import CHECKS, g2_universe
 from corbel.cli import run_verification
-from corbel.constructions import whisker
+from corbel.constructions import spec_from_json_dict, whisker
 from corbel.errors import CapError
 from corbel.graphs import (
     canonical_form,
@@ -23,6 +23,7 @@ from corbel.graphs import (
 from corbel.groebner import MonomialIdealSF, initial_ideal
 from corbel.betti import (
     BETTI_VAR_CAP,
+    BettiTable,
     betti_table,
     lcm_lattice,
     oracle_depth_reg,
@@ -136,6 +137,41 @@ def test_lattice_cap_is_read_at_call_time(monkeypatch):
         with pytest.raises(CapError) as exc:
             engine(ideal)
         assert (exc.value.size, exc.value.cap) == (6, 5)
+
+
+def test_tree_walk_caps_its_node_count(monkeypatch):
+    # K4's initial ideal walks 9 nodes; under any lower cap the walk stops
+    # at the node past it
+    gen_masks = betti._masks(initial_ideal(graph_from_name("k4")))
+    cap = 1
+    while True:
+        monkeypatch.setattr(betti, "LATTICE_CAP", cap)
+        try:
+            betti._mayer_vietoris_tree(gen_masks)
+        except CapError as exc:
+            assert (exc.size, exc.cap) == (cap + 1, cap)
+            assert str(exc) == f"Mayer-Vietoris tree too large (size {cap + 1} > cap {cap})"
+            cap += 1
+        else:
+            break
+    assert cap == 9
+
+
+def _lattice_betti_table(ideal):
+    """Reference: Hochster's formula on every element of the lcm lattice."""
+    entries = {(0, 0): 1}
+    gen_masks = betti._masks(ideal)
+    for sigma in lcm_lattice(ideal):
+        smask = sum(1 << v for v in sigma)
+        inside = [g for g in gen_masks if not g & ~smask]
+        j = len(sigma)
+        for k, rank in enumerate(betti._join_e_vector(smask, inside)):
+            if rank:
+                assert j - k >= 1
+                entries[(j - k, j)] = entries.get((j - k, j), 0) + rank
+    pd = max(i for i, _ in entries)
+    reg = max(j - i for i, j in entries)
+    return BettiTable(ideal.n_vars, tuple(sorted(entries.items())), pd, ideal.n_vars - pd, reg)
 
 
 def _relabel_ideal(ideal, perm):
@@ -374,3 +410,37 @@ def test_simplex_boundary_survives_the_strip(s):
     # no link in the boundary of a simplex is a cone, so its sphere is kept
     betti._cluster_cache.clear()
     assert betti._cluster_e_vector(s, frozenset({(1 << s) - 1})) == (0,) * (s - 1) + (1,)
+
+
+GRAPHS_6 = [(to_graph6(g), g) for g in enumerate_connected_graphs(6)]
+
+
+@pytest.mark.parametrize("g", [g for _, g in GRAPHS_6], ids=[k for k, _ in GRAPHS_6])
+def test_tree_table_equals_the_lattice_sum_on_small_graphs(g):
+    # as given and under a relabeling seeded by the graph, through the
+    # initial ideal and through the ideal the oracle resolves
+    h = _relabeled(g, random.Random(to_graph6(g)))
+    for ideal in {f(x) for x in (g, h) for f in (initial_ideal, betti._oracle_ideal)}:
+        assert betti_table(ideal) == _lattice_betti_table(ideal)
+
+
+THM56 = CHECKS["thm5.6"].universe(CHECKS["thm5.6"].default)[1]
+
+
+@pytest.mark.parametrize("payload", THM56, ids=[p["id"] for p in THM56])
+def test_tree_table_equals_the_lattice_sum_on_default_coronas(payload):
+    ideal = betti._oracle_ideal(spec_from_json_dict(payload["spec"]).composite())
+    assert betti_table(ideal) == _lattice_betti_table(ideal)
+
+
+def _random_ideal(rng):
+    n = rng.randint(1, 11)
+    masks = _random_antichain(rng, n)
+    return MonomialIdealSF(n, tuple(frozenset(v + 1 for v in range(n) if m >> v & 1) for m in masks))
+
+
+def test_tree_table_equals_the_lattice_sum_on_random_ideals():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        ideal = _random_ideal(rng)
+        assert betti_table(ideal) == _lattice_betti_table(ideal)

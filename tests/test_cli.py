@@ -155,6 +155,8 @@ def test_oracle_cap_is_exit_three(tmp_path):
     rc, _, err = run_cli("analyze", "--graph", str(path), "--oracle")
     assert rc == 3
     assert "capped" in err
+    # the message names the size it saw and the cap: 2 * 13 variables
+    assert err == "error: betti table capped (size 26 > cap 20)\n"
 
 
 def test_verify_pass_and_fail_codes():
