@@ -40,7 +40,7 @@ LATTICE_CAP = 50000
 
 
 def lcm_lattice(ideal: MonomialIdealSF) -> list[frozenset[int]]:
-    """All joins of nonempty generator subsets, deduplicated and sorted."""
+    """All joins of nonempty generator subsets, deduplicated, in increasing mask order."""
     lattice: set[int] = set()
     for g in _masks(ideal):
         fresh = {g | u for u in lattice}
@@ -48,13 +48,7 @@ def lcm_lattice(ideal: MonomialIdealSF) -> list[frozenset[int]]:
         lattice |= fresh
         if len(lattice) > LATTICE_CAP:
             raise CapError("lcm lattice too large", size=len(lattice), cap=LATTICE_CAP)
-    # supports of one size sort as lists in the reverse order of their masks
-    # written lowest bit first, as strings: the first bit where two differ is
-    # the smaller variable, and it lies in the smaller support
-    width = f"0{ideal.n_vars + 1}b"
-    order = sorted(lattice, key=lambda m: format(m, width)[::-1], reverse=True)
-    order.sort(key=int.bit_count)
-    return _supports(order, ideal.n_vars + 1)
+    return _supports(sorted(lattice), ideal.n_vars + 1)
 
 
 def _masks(ideal: MonomialIdealSF) -> list[int]:
@@ -277,21 +271,6 @@ class BettiTable:
     pd: int
     depth: int
     reg: int
-
-    def entry(self, i: int, j: int) -> int:
-        for (a, b), val in self.entries:
-            if (a, b) == (i, j):
-                return val
-        return 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [[i, j, val] for (i, j), val in self.entries],
-            "pd": self.pd,
-            "depth": self.depth,
-            "reg": self.reg,
-            "vars": self.n_vars,
-        }
 
 
 def _tree_order(mask: int) -> tuple[int, int, int]:

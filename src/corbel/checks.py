@@ -99,7 +99,7 @@ def _whiskers(max_base: int, gap_free: bool = False) -> tuple[str, list[dict]]:
         if gap_free and not invariants.invariant_report(g).gap_free:
             continue
         spec, _ = whisker(g)
-        payloads.append({"id": f"W({to_graph6(g)})", "spec": spec.to_json_dict(), "p": g.n})
+        payloads.append({"id": f"W({to_graph6(g)})", "spec": spec.to_json_dict()})
     kind = "gap-free connected" if gap_free else "connected"
     return f"whiskers over {kind} graphs on at most {max_base} vertices", payloads
 
@@ -291,7 +291,7 @@ def _hypergraph_reg_lower(payload: dict) -> dict:
 
 def _gap_free_whisker_reg(payload: dict) -> dict:
     spec = spec_from_json_dict(payload["spec"])
-    value = payload["p"] + 1
+    value = formulas.reg_gapfree_whisker(spec.base).value
     _, reg = betti.oracle_depth_reg(spec.composite())
     return _record(payload["id"], value, reg, reg == value)
 

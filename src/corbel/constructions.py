@@ -9,7 +9,6 @@ non-free base vertex.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -54,7 +53,13 @@ class GenCoronaSpec:
         return self.base.n + sum(h.n for h in self.attachments[:i])
 
     def composite(self) -> Graph:
-        return _composite_of(self)
+        edges = list(self.base.edges())
+        for i, h in enumerate(self.attachments):
+            off = self.block_offset(i)
+            v = self.attach_set[i]
+            edges.extend((a + off, b + off) for a, b in h.edges())
+            edges.extend((v, w + off) for w in h.vertices())
+        return from_edge_list(self.total_vertices(), edges)
 
     def to_json_dict(self) -> dict:
         from .graphs import to_json_dict
@@ -78,17 +83,6 @@ def spec_from_json_dict(obj) -> GenCoronaSpec:
         tuple(obj["S"]),
         tuple(from_json_dict(h) for h in obj["H"]),
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _composite_of(spec: GenCoronaSpec) -> Graph:
-    edges = list(spec.base.edges())
-    for i, h in enumerate(spec.attachments):
-        off = spec.block_offset(i)
-        v = spec.attach_set[i]
-        edges.extend((a + off, b + off) for a, b in h.edges())
-        edges.extend((v, w + off) for w in h.vertices())
-    return from_edge_list(spec.total_vertices(), edges)
 
 
 def non_free_vertices(g: Graph) -> frozenset[int]:

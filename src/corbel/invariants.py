@@ -4,6 +4,11 @@ Everything here is exact and exhaustive; caps keep the searches at desk
 scale.  All counts are additive over disjoint unions where that makes sense
 (components, isolated vertices, diameters, free vertex counts, induced
 matchings).
+
+Both induced-matching invariants come from one search over supports as
+bitmasks: the induced matching number of a graph is its edges with weight 1,
+the 2-uniform case of the generator-support bound, which weighs each
+generator support e by |e| - 1.
 """
 
 from __future__ import annotations
@@ -47,19 +52,40 @@ def free_vertex_counts(g: Graph) -> tuple[int, int, frozenset[int], frozenset[in
     return len(free), len(nonfree), free, nonfree
 
 
-def _edge_conflicts(g: Graph, edges: list[tuple[int, int]]) -> list[int]:
-    # conflict[i] bitmask: edges sharing a vertex with edge i or joined to it
-    m = len(edges)
-    conflict = [0] * m
-    for i, (a, b) in enumerate(edges):
-        near = {a, b} | set(g.adj[a]) | set(g.adj[b])
-        for j in range(m):
-            if i == j:
-                continue
-            c, d = edges[j]
-            if c in near or d in near:
-                conflict[i] |= 1 << j
-    return conflict
+def _induced_matching(supports: list[int], weights: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Best total weight of an induced matching of the supports, and its indices.
+
+    An induced matching is a set of pairwise disjoint supports (bitmasks)
+    whose union contains no other support; the supports must be distinct and
+    inclusion-minimal.  Indices are added in increasing order and the first
+    maximum met is kept, so ties go to the lexicographically smallest index
+    tuple.
+    """
+    # a support that spoils adding s to a matching disjoint from s meets s
+    near = [[t for t in supports if t & s and t != s] for s in supports]
+    best_val = 0
+    best: tuple[int, ...] = ()
+
+    def dfs(cands: list[int], union: int, chosen: tuple[int, ...], val: int):
+        # cands: indices above chosen[-1], each extending chosen on its own
+        nonlocal best_val, best
+        if val > best_val:
+            best_val, best = val, chosen
+        left = sum(weights[k] for k in cands)
+        for i, k in enumerate(cands):
+            if val + left <= best_val:
+                return
+            left -= weights[k]
+            u = union | supports[k]
+            nxt = [
+                j
+                for j in cands[i + 1 :]
+                if not supports[j] & u and all(t & ~(u | supports[j]) for t in near[j])
+            ]
+            dfs(nxt, u, chosen + (k,), val + weights[k])
+
+    dfs(list(range(len(supports))), 0, (), 0)
+    return best_val, best
 
 
 def induced_matching_number(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -70,29 +96,8 @@ def induced_matching_number(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]
     if g.n > MATCHING_CAP:
         raise CapError("induced matching search capped", size=g.n, cap=MATCHING_CAP)
     edges = g.edges()
-    m = len(edges)
-    if m == 0:
-        return 0, ()
-    conflict = _edge_conflicts(g, edges)
-    best_size = 0
-    best: tuple[int, ...] = ()
-
-    def dfs(avail: int, chosen: tuple[int, ...]):
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = chosen
-        if not avail:
-            return
-        if len(chosen) + bin(avail).count("1") <= best_size:
-            return
-        i = (avail & -avail).bit_length() - 1
-        rest = avail & ~(1 << i)
-        dfs(rest & ~conflict[i], chosen + (i,))
-        dfs(rest, chosen)
-
-    dfs((1 << m) - 1, ())
-    return best_size, tuple(edges[i] for i in best)
+    size, best = _induced_matching([1 << a | 1 << b for a, b in edges], [1] * len(edges))
+    return size, tuple(edges[i] for i in best)
 
 
 def is_gap_free(g: Graph) -> bool:
@@ -193,35 +198,7 @@ def hypergraph_induced_matching_bound(ideal) -> tuple[int, tuple[frozenset[int],
     for a, b in itertools.combinations(gens, 2):
         if a <= b or b <= a:
             raise InputError("generator supports must be inclusion-minimal")
-    if not gens:
-        return 0, ()
-    order = sorted(range(len(gens)), key=lambda i: sorted(gens[i]))
-    gens = [gens[i] for i in order]
-    weights = [len(e) - 1 for e in gens]
-    m = len(gens)
-    best_val = 0
-    best: tuple[int, ...] = ()
-
-    def valid_add(union: frozenset[int], chosen: set[int], k: int) -> bool:
-        u = union | gens[k]
-        for j in range(m):
-            if j != k and j not in chosen and gens[j] <= u:
-                return False
-        return True
-
-    def dfs(start: int, union: frozenset[int], chosen: tuple[int, ...], val: int):
-        nonlocal best_val, best
-        if val > best_val:
-            best_val = val
-            best = chosen
-        remaining = sum(weights[k] for k in range(start, m) if not (gens[k] & union))
-        if val + remaining <= best_val:
-            return
-        for k in range(start, m):
-            if gens[k] & union:
-                continue
-            if valid_add(union, set(chosen), k):
-                dfs(k + 1, union | gens[k], chosen + (k,), val + weights[k])
-
-    dfs(0, frozenset(), (), 0)
+    gens.sort(key=sorted)
+    masks = [sum(1 << v for v in e) for e in gens]
+    best_val, best = _induced_matching(masks, [len(e) - 1 for e in gens])
     return best_val, tuple(gens[i] for i in best)

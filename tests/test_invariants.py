@@ -1,13 +1,20 @@
 """Combinatorial invariants feeding the bound formulas."""
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 from corbel.errors import CapError, InputError
-from corbel.graphs import disjoint_union, from_edge_list, graph_from_name
-from corbel.groebner import initial_ideal
+from corbel.graphs import (
+    disjoint_union,
+    enumerate_connected_graphs,
+    from_edge_list,
+    graph_from_name,
+    to_graph6,
+)
+from corbel.groebner import MonomialIdealSF, initial_ideal
 from corbel.constructions import whisker_matching_labeling
 from corbel.invariants import (
     MATCHING_CAP,
@@ -70,6 +77,55 @@ def test_induced_matching_cap():
     with pytest.raises(CapError) as exc:
         induced_matching_number(graph_from_name(f"p{MATCHING_CAP + 1}"))
     assert (exc.value.size, exc.value.cap) == (MATCHING_CAP + 1, MATCHING_CAP)
+
+
+def _brute_induced_matching(supports, weights):
+    """Best weight of an induced matching and the smallest maximizing index tuple.
+
+    Checks every index subset by size; a subset of an induced matching is
+    one, so the sizes stop at the first with none.
+    """
+    best_val, best = 0, ()
+    for r in itertools.count(1):
+        found = False
+        for idx in itertools.combinations(range(len(supports)), r):
+            union = 0
+            for k in idx:
+                union |= supports[k]
+            if union.bit_count() != sum(supports[k].bit_count() for k in idx):
+                continue
+            if sum(1 for t in supports if not t & ~union) != r:
+                continue
+            found = True
+            val = sum(weights[k] for k in idx)
+            if val > best_val or (val == best_val and idx < best):
+                best_val, best = val, idx
+        if not found:
+            return best_val, best
+
+
+def test_induced_matching_against_brute_force():
+    graphs = list(enumerate_connected_graphs(6))
+    assert len(graphs) == 143
+    for g in graphs:
+        edges = g.edges()
+        masks = [1 << a | 1 << b for a, b in edges]
+        val, idx = _brute_induced_matching(masks, [1] * len(edges))
+        expected = (val, tuple(edges[k] for k in idx))
+        assert induced_matching_number(g) == expected, to_graph6(g)
+
+
+def test_hypergraph_bound_against_brute_force():
+    graphs = list(enumerate_connected_graphs(5))
+    assert len(graphs) == 31
+    # {2,4,6} lies in the union of the other three supports, not of any two
+    triple = MonomialIdealSF(6, tuple(map(frozenset, ({1, 2}, {3, 4}, {5, 6}, {2, 4, 6}))))
+    for ideal in [initial_ideal(g) for g in graphs] + [triple]:
+        gens = sorted(ideal.generators, key=sorted)
+        masks = [sum(1 << v for v in e) for e in gens]
+        val, idx = _brute_induced_matching(masks, [len(e) - 1 for e in gens])
+        expected = (val, tuple(gens[k] for k in idx))
+        assert hypergraph_induced_matching_bound(ideal) == expected, ideal
 
 
 def test_gap_free():
