@@ -16,7 +16,9 @@ beta_{s+1,a} = c.  Third, Hochster's formula, only on the multidegrees
 emitted at two or more positions: their Betti numbers come from reduced
 simplicial homology of restrictions of the Stanley-Reisner complex.  All
 homology is computed over the rationals by exact integer elimination; no
-floating point anywhere.  Characteristic zero is baked in.
+floating point anywhere.  Characteristic zero is baked in.  All three steps
+work on bitmasks, bit v for variable v, read from ``MonomialIdealSF.masks``,
+the one place supports become masks; a multidegree's degree is its bit count.
 
 Depth is read off as number-of-variables minus projective dimension.  For a
 graph the oracle works on the lex initial ideal of its edge binomial ideal:
@@ -28,7 +30,6 @@ the cheapest of a few relabelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import gcd
 
 from .errors import CapError
@@ -39,40 +40,16 @@ BETTI_VAR_CAP = 20
 LATTICE_CAP = 50000
 
 
-def lcm_lattice(ideal: MonomialIdealSF) -> list[frozenset[int]]:
-    """All joins of nonempty generator subsets, deduplicated, in increasing mask order."""
+def lcm_lattice(ideal: MonomialIdealSF) -> list[int]:
+    """All joins of nonempty subsets of ``ideal.masks``, deduplicated, in increasing order."""
     lattice: set[int] = set()
-    for g in _masks(ideal):
+    for g in ideal.masks:
         fresh = {g | u for u in lattice}
         fresh.add(g)
         lattice |= fresh
         if len(lattice) > LATTICE_CAP:
             raise CapError("lcm lattice too large", size=len(lattice), cap=LATTICE_CAP)
-    return _supports(sorted(lattice), ideal.n_vars + 1)
-
-
-def _masks(ideal: MonomialIdealSF) -> list[int]:
-    """Generator supports as bitmasks, bit v for variable v."""
-    return [sum(1 << v for v in g) for g in ideal.generators]
-
-
-@cache
-def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
-    """[b]: the bits that byte value b sets as byte k of a mask."""
-    return tuple(tuple(8 * k + v for v in range(8) if b >> v & 1) for b in range(256))
-
-
-def _supports(masks, width: int) -> list[frozenset[int]]:
-    """The set bits of each width-bit mask, as frozensets."""
-    tables = [_byte_table(k) for k in range((width + 7) // 8)]
-    out = []
-    for m in masks:
-        bits = ()
-        for table in tables:
-            bits += table[m & 255]
-            m >>= 8
-        out.append(frozenset(bits))
-    return out
+    return sorted(lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +264,7 @@ def _minimal(masks: set[int]) -> list[int]:
     return sorted(kept, key=_tree_order)
 
 
-def _mayer_vietoris_tree(gen_masks: list[int]) -> dict[int, dict[int, int]]:
+def _mayer_vietoris_tree(gen_masks: tuple[int, ...]) -> dict[int, dict[int, int]]:
     """Multidegrees the Mayer-Vietoris tree emits: mask -> {position: count}.
 
     A node is a list of minimal generators at a position s; the root is the
@@ -321,23 +298,20 @@ def betti_table(ideal: MonomialIdealSF) -> BettiTable:
     if ideal.n_vars > BETTI_VAR_CAP:
         raise CapError("betti table capped", size=ideal.n_vars, cap=BETTI_VAR_CAP)
     lattice = lcm_lattice(ideal)
-    gen_masks = _masks(ideal)
-    tree = _mayer_vietoris_tree(gen_masks)
-    emitted = dict(zip(_supports(tree, ideal.n_vars + 1), tree.values()))
+    emitted = _mayer_vietoris_tree(ideal.masks)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     found = 0
-    for sigma in lattice:
-        at = emitted.get(sigma)
+    for smask in lattice:
+        at = emitted.get(smask)
         if at is None:
             continue
         found += 1
-        j = len(sigma)
+        j = smask.bit_count()
         if len(at) == 1:
             ((s, count),) = at.items()
             entries[(s + 1, j)] = entries.get((s + 1, j), 0) + count
             continue
-        smask = sum(1 << v for v in sigma)
-        inside = [g for g in gen_masks if not g & ~smask]
+        inside = [g for g in ideal.masks if not g & ~smask]
         for k, rank in enumerate(_join_e_vector(smask, inside)):
             if rank:
                 i = j - k

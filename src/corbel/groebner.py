@@ -21,6 +21,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapError, InputError
 from .graphs import Graph
@@ -111,16 +112,23 @@ class MonomialIdealSF:
     generators: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        gens = sorted(set(self.generators), key=lambda s: sorted(s))
-        for s in gens:
-            if not s:
-                raise InputError("empty generator support")
-            if not all(isinstance(v, int) and 1 <= v <= self.n_vars for v in s):
-                raise InputError(f"support {sorted(s)} leaves the variable range")
+        # type(x) is int: a bool, such as JSON's true, is not a count or an index
+        if not (type(self.n_vars) is int and self.n_vars >= 0):
+            raise InputError(f"variable count must be a nonnegative integer, got {self.n_vars!r}")
+        for s in self.generators:
+            ok = type(s) is frozenset and all(type(v) is int and 1 <= v <= self.n_vars for v in s)
+            if not (s and ok):
+                raise InputError(f"support {s!r} is not a nonempty frozenset of 1..{self.n_vars}")
+        gens = sorted(set(self.generators), key=sorted)
         for a, b in itertools.combinations(gens, 2):
             if a <= b or b <= a:
                 raise InputError("generator supports are not inclusion-minimal")
         object.__setattr__(self, "generators", tuple(gens))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Generator supports as bitmasks, bit v for variable v, in generator order."""
+        return tuple(sum(1 << v for v in s) for s in self.generators)
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,7 +140,11 @@ class MonomialIdealSF:
 def ideal_from_json_dict(obj) -> MonomialIdealSF:
     if not isinstance(obj, dict) or "n_vars" not in obj or "generators" not in obj:
         raise InputError("ideal JSON must be an object with 'n_vars' and 'generators' keys")
-    return MonomialIdealSF(obj["n_vars"], tuple(frozenset(s) for s in obj["generators"]))
+    gens = obj["generators"]
+    ok = isinstance(gens, list) and all(isinstance(s, list) for s in gens)
+    if not (ok and all(type(v) is int for s in gens for v in s)):
+        raise InputError("ideal JSON 'generators' must be a list of lists of integers")
+    return MonomialIdealSF(obj["n_vars"], tuple(frozenset(s) for s in gens))
 
 
 def _support_to_exp(nv: int, support) -> tuple[int, ...]:

@@ -52,7 +52,7 @@ def free_vertex_counts(g: Graph) -> tuple[int, int, frozenset[int], frozenset[in
     return len(free), len(nonfree), free, nonfree
 
 
-def _induced_matching(supports: list[int], weights: list[int]) -> tuple[int, tuple[int, ...]]:
+def _induced_matching(supports: tuple[int, ...], weights: list[int]) -> tuple[int, tuple[int, ...]]:
     """Best total weight of an induced matching of the supports, and its indices.
 
     An induced matching is a set of pairwise disjoint supports (bitmasks)
@@ -96,7 +96,7 @@ def induced_matching_number(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]
     if g.n > MATCHING_CAP:
         raise CapError("induced matching search capped", size=g.n, cap=MATCHING_CAP)
     edges = g.edges()
-    size, best = _induced_matching([1 << a | 1 << b for a, b in edges], [1] * len(edges))
+    size, best = _induced_matching(tuple(1 << a | 1 << b for a, b in edges), [1] * len(edges))
     return size, tuple(edges[i] for i in best)
 
 
@@ -191,14 +191,8 @@ def hypergraph_induced_matching_bound(ideal) -> tuple[int, tuple[frozenset[int],
     """Best value of sum(|e_i| - 1) over induced matchings of generator supports.
 
     An induced matching here is a pairwise disjoint set of supports such that
-    no other generator support lies inside its union.  Requires the generator
-    set to be minimal under inclusion.
+    no other generator support lies inside its union.  The search reads
+    ``ideal.masks``; the ``MonomialIdealSF`` constructor keeps them minimal.
     """
-    gens = list(ideal.generators)
-    for a, b in itertools.combinations(gens, 2):
-        if a <= b or b <= a:
-            raise InputError("generator supports must be inclusion-minimal")
-    gens.sort(key=sorted)
-    masks = [sum(1 << v for v in e) for e in gens]
-    best_val, best = _induced_matching(masks, [len(e) - 1 for e in gens])
-    return best_val, tuple(gens[i] for i in best)
+    best_val, best = _induced_matching(ideal.masks, [m.bit_count() - 1 for m in ideal.masks])
+    return best_val, tuple(ideal.generators[i] for i in best)

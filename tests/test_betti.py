@@ -1,6 +1,8 @@
 """Homological oracle: Mayer-Vietoris tree Betti numbers, depth, reg, dimension."""
 
+import functools
 import itertools
+import operator
 import random
 from math import comb
 
@@ -70,9 +72,14 @@ def test_diamond_table():
     assert (tab.depth, tab.reg) == (4, 2)
 
 
+def _bits(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def test_lattice_members_triangle():
     lat = lcm_lattice(initial_ideal(graph_from_name("k3")))
-    assert sorted(sorted(m) for m in lat) == [
+    assert lat == sorted(lat)
+    assert sorted(_bits(m) for m in lat) == [
         [1, 2, 5, 6],
         [1, 2, 6],
         [1, 5],
@@ -80,6 +87,41 @@ def test_lattice_members_triangle():
         [1, 6],
         [2, 6],
     ]
+
+
+def _brute_lattice(ideal):
+    """Reference: the OR of every nonempty subset of the generator masks."""
+    joins = set()
+    for r in range(1, len(ideal.masks) + 1):
+        for subset in itertools.combinations(ideal.masks, r):
+            joins.add(functools.reduce(operator.or_, subset))
+    return sorted(joins)
+
+
+def test_lattice_is_the_or_of_every_generator_subset():
+    rng = random.Random(20261019)
+    ideals = [initial_ideal(g) for g in enumerate_connected_graphs(5)]
+    for _ in range(100):
+        ideal = _random_ideal(rng)
+        ideals.append(MonomialIdealSF(ideal.n_vars, ideal.generators[:8]))
+    for ideal in ideals:
+        assert lcm_lattice(ideal) == _brute_lattice(ideal), ideal
+
+
+def test_masks_decode_to_the_generators_in_order():
+    for g in enumerate_connected_graphs(5):
+        ideal = initial_ideal(g)
+        assert [_bits(m) for m in ideal.masks] == [sorted(s) for s in ideal.generators]
+
+
+def test_reading_masks_keeps_equality_and_hash():
+    # masks is cached on the instance, outside the dataclass fields
+    read = initial_ideal(graph_from_name("c4"))
+    assert read.masks is read.masks
+    fresh = initial_ideal(graph_from_name("c4"))
+    assert read == fresh and fresh == read
+    assert hash(read) == hash(fresh)
+    assert len({read, fresh}) == 1
 
 
 def test_zero_ideal_depth_is_var_count():
@@ -142,7 +184,7 @@ def test_lattice_cap_is_read_at_call_time(monkeypatch):
 def test_tree_walk_caps_its_node_count(monkeypatch):
     # K4's initial ideal walks 9 nodes; under any lower cap the walk stops
     # at the node past it
-    gen_masks = betti._masks(initial_ideal(graph_from_name("k4")))
+    gen_masks = initial_ideal(graph_from_name("k4")).masks
     cap = 1
     while True:
         monkeypatch.setattr(betti, "LATTICE_CAP", cap)
@@ -160,11 +202,9 @@ def test_tree_walk_caps_its_node_count(monkeypatch):
 def _lattice_betti_table(ideal):
     """Reference: Hochster's formula on every element of the lcm lattice."""
     entries = {(0, 0): 1}
-    gen_masks = betti._masks(ideal)
-    for sigma in lcm_lattice(ideal):
-        smask = sum(1 << v for v in sigma)
-        inside = [g for g in gen_masks if not g & ~smask]
-        j = len(sigma)
+    for smask in lcm_lattice(ideal):
+        inside = [g for g in ideal.masks if not g & ~smask]
+        j = smask.bit_count()
         for k, rank in enumerate(betti._join_e_vector(smask, inside)):
             if rank:
                 assert j - k >= 1

@@ -1,5 +1,6 @@
 """Admissible-path Groebner bases and the Buchberger cross-check."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from corbel.groebner import (
     _update,
     admissible_paths,
     buchberger_oracle,
+    ideal_from_json_dict,
     initial_ideal,
     reduced_groebner_basis,
 )
@@ -285,6 +287,42 @@ def test_monomial_ideal_validates_minimality():
 
 def test_monomial_ideal_json_round_trip():
     ideal = initial_ideal(graph_from_name("c4"))
-    from corbel.groebner import ideal_from_json_dict
-
     assert ideal_from_json_dict(ideal.to_json_dict()) == ideal
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n_vars": 2, "generators": [3]}',  # a support that is not a list
+        '{"n_vars": "3", "generators": [[1]]}',  # a count that is not an integer
+        '{"n_vars": 3, "generators": [[true, 2]]}',  # true is not variable 1
+        '{"n_vars": 3, "generators": [[1, true]]}',  # nor is it once 1 is in the set
+        '{"n_vars": 3, "generators": [[[1]]]}',  # a nested list
+        '{"n_vars": 3, "generators": [[1.0]]}',
+        '{"n_vars": 3, "generators": 5}',
+        '{"n_vars": -1, "generators": []}',
+        '{"n_vars": true, "generators": [[1]]}',
+        '{"n_vars": 2, "generators": [[3]]}',
+        '{"n_vars": 2, "generators": [[]]}',
+        '[[1, 2]]',
+    ],
+)
+def test_malformed_ideal_json_is_an_input_error(text):
+    with pytest.raises(InputError):
+        ideal_from_json_dict(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "n_vars,generators",
+    [
+        (True, (frozenset({1}),)),
+        (-1, ()),
+        ("3", (frozenset({1}),)),
+        (3, (frozenset({True, 2}),)),
+        (3, ((1, 2),)),
+        (3, ({1, 2},)),
+    ],
+)
+def test_malformed_monomial_ideal_is_an_input_error(n_vars, generators):
+    with pytest.raises(InputError):
+        MonomialIdealSF(n_vars, generators)
