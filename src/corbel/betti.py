@@ -56,21 +56,24 @@ def lcm_lattice(ideal: MonomialIdealSF) -> list[int]:
 # reduced homology of a restricted Stanley-Reisner complex
 #
 # A restriction is described by a vertex bitmask and generator bitmasks;
-# faces are the vertex subsets containing no generator.  The e-vector
-# e[k] = rank of reduced homology in degree k-1 multiplies under joins, and a
-# restriction splits as a join over connected clusters of generators.  A
-# cluster renumbered onto vertices 0..s-1 is keyed by (s, masks) in the cache.
-#
-# A cluster goes strip -> recluster -> ranks.  Strip: a vertex u whose link
-# is a cone is deleted, which keeps the homotopy type (a strong collapse;
-# Barmak-Minian, DCG 47, 2012).  The link of u has the ideal (I : x_u) on the
-# other vertices, and it is a cone when a surviving vertex lies in no minimal
-# generator of that colon.  Deleting u drops every generator containing u;
-# once a vertex is left in no generator, the cluster is a cone and has no
-# homology.  Recluster: if the strip deleted a vertex, the survivors split
-# into clusters again, each looked up or computed the same way under its own
-# key.  Ranks: a cluster with nothing to strip is enumerated face by face and
-# its homology read off the ranks of its boundary maps.
+# faces are the vertex subsets containing no generator.  Its e-vector is
+# e[k] = rank of reduced homology in degree k-1.  ``_e_vector`` takes the
+# first case that applies, and caches every case but the first under the
+# restriction renumbered onto vertices 0..s-1 in order, the key (s, masks):
+#   - cone: a vertex in no generator is a cone apex, so e is zero;
+#   - join: the cluster grown from the first generator, by taking in every
+#     generator that meets it, misses some vertices.  The complex is the
+#     join of the complexes on the cluster and on the rest, so e is the
+#     product of theirs; the rest is skipped when the cluster's e is zero;
+#   - strip: a vertex u whose link is a cone is deleted, which keeps the
+#     homotopy type (a strong collapse; Barmak-Minian, DCG 47, 2012).  The
+#     link of u has the ideal (I : x_u) on the other vertices, and it is a
+#     cone when another vertex lies in no minimal generator of that colon.
+#     The lowest such u goes, with every generator containing it;
+#   - ranks: the faces are enumerated and e read off the ranks of the
+#     boundary maps.
+# Each case other than ranks deletes a vertex or splits off a nonempty part,
+# so the recursion is shallower than twice the number of vertices.
 
 _cluster_cache: dict[tuple[int, frozenset[int]], tuple[int, ...]] = {}
 
@@ -173,58 +176,31 @@ def _renumbered(verts: int, cluster: list[int]) -> tuple[int, frozenset[int]]:
     return len(local), frozenset(masks)
 
 
-def _join_e_vector(vertices: int, gens: list[int]) -> tuple[int, ...]:
-    """e-vector of the complex on vertices, the join of its generator clusters.
-
-    A vertex in no generator is a cone apex, so there is no homology.
-    """
+def _e_vector(vertices: int, gens: list[int]) -> tuple[int, ...]:
+    """e[k] = dim of reduced homology in degree k-1 of the complex on vertices."""
     if vertices & ~_union(gens):
         return (0,)
-    remaining = list(gens)
-    e = (1,)
-    while remaining:
-        cluster = [remaining.pop()]
-        verts = cluster[0]
-        changed = True
-        while changed:
-            changed = False
-            rest = []
-            for g in remaining:
-                if g & verts:
-                    cluster.append(g)
-                    verts |= g
-                    changed = True
-                else:
-                    rest.append(g)
-            remaining = rest
-        ce = _cluster_e_vector(*_renumbered(verts, cluster))
-        if not any(ce):
-            return (0,)
-        e = _convolve(e, ce)
-    return e
-
-
-def _cluster_e_vector(s: int, gen_masks: frozenset[int]) -> tuple[int, ...]:
-    """e[k] = dim of reduced homology in degree k-1 for one generator cluster."""
-    key = (s, gen_masks)
-    hit = _cluster_cache.get(key)
-    if hit is not None:
-        return hit
-    alive = (1 << s) - 1
-    gens = list(gen_masks)
-    stripped = True
-    while stripped and not alive & ~_union(gens):
-        stripped = False
-        for u in range(s):
-            bit = 1 << u
-            if alive & bit and alive & ~bit & ~_link_cover(gens, bit):
-                gens = [g for g in gens if not g & bit]
-                alive ^= bit
-                stripped = True
-    if alive == (1 << s) - 1:
-        e = _homology(s, gen_masks)
+    key = _renumbered(vertices, gens)
+    e = _cluster_cache.get(key)
+    if e is not None:
+        return e
+    cluster = gens[0]
+    while (grown := _union(g for g in gens if g & cluster)) != cluster:
+        cluster = grown
+    if cluster != vertices:
+        e = _e_vector(cluster, [g for g in gens if g & cluster])
+        if any(e):
+            e = _convolve(e, _e_vector(vertices ^ cluster, [g for g in gens if not g & cluster]))
     else:
-        e = _join_e_vector(alive, gens)
+        rest = vertices
+        while rest:
+            bit = rest & -rest
+            if vertices & ~bit & ~_link_cover(gens, bit):
+                e = _e_vector(vertices ^ bit, [g for g in gens if not g & bit])
+                break
+            rest ^= bit
+        else:
+            e = _homology(*key)
     _cluster_cache[key] = e
     return e
 
@@ -312,7 +288,7 @@ def betti_table(ideal: MonomialIdealSF) -> BettiTable:
             entries[(s + 1, j)] = entries.get((s + 1, j), 0) + count
             continue
         inside = [g for g in ideal.masks if not g & ~smask]
-        for k, rank in enumerate(_join_e_vector(smask, inside)):
+        for k, rank in enumerate(_e_vector(smask, inside)):
             if rank:
                 i = j - k
                 if i - 1 not in at:

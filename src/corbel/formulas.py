@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 from .constructions import GenCoronaSpec, class_membership
 from .errors import InputError
-from .graphs import Graph, is_connected, ncomponents
-from .invariants import InvariantReport, invariant_report
+from .graphs import Graph, connected_components, is_connected, ncomponents
+from .invariants import (
+    InvariantReport,
+    _component_diameter,
+    free_vertex_counts,
+    invariant_report,
+    isolated_count,
+)
 
 Kind = str  # "lower" | "upper" | "equality"
 
@@ -37,17 +43,24 @@ class BoundReport:
         }
 
 
+def _f_d_c(g: Graph) -> tuple[int, int, int]:
+    """f, d and c as ``invariant_report`` computes them, without its capped searches."""
+    comps = connected_components(g)
+    d = isolated_count(g) + sum(_component_diameter(g, comp) for comp in comps)
+    return free_vertex_counts(g)[0], d, len(comps)
+
+
 def depth_lower_bound_general(g: Graph, m: int = 2) -> BoundReport:
     """depth >= f + d + (m-2)c, valid for every simple graph."""
     if m < 2:
         raise InputError("m must be at least 2")
-    rep = invariant_report(g)
-    value = rep.f + rep.d + (m - 2) * rep.c
+    f, d, c = _f_d_c(g)
+    value = f + d + (m - 2) * c
     return BoundReport(
         "thm2.4",
         value,
         "lower",
-        {"f": rep.f, "d": rep.d, "c": rep.c, "m": m},
+        {"f": f, "d": d, "c": c, "m": m},
     )
 
 
@@ -103,18 +116,17 @@ def depth_lower_bound_g2_gen(spec: GenCoronaSpec, m: int = 2) -> BoundReport:
     if not class_membership(spec).in_g2:
         raise InputError("attachment set does not cover all non-free base vertices")
     _require_connected_attachments(spec, "thm3.2")
-    reps = [invariant_report(h) for h in spec.attachments]
+    f_plus_d = [f + d for f, d, _ in map(_f_d_c, spec.attachments)]
     p = spec.base.n
     ell = len(spec.attach_set)
     c = ncomponents(spec.composite())
-    total = sum(r.f + r.d for r in reps)
-    value = total + p - ell + (m - 1) * c
+    value = sum(f_plus_d) + p - ell + (m - 1) * c
     return BoundReport(
         "thm3.2",
         value,
         "lower",
         {
-            "attachment_f_plus_d": [r.f + r.d for r in reps],
+            "attachment_f_plus_d": f_plus_d,
             "p": p,
             "l": ell,
             "c": c,

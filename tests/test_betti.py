@@ -205,7 +205,7 @@ def _lattice_betti_table(ideal):
     for smask in lcm_lattice(ideal):
         inside = [g for g in ideal.masks if not g & ~smask]
         j = smask.bit_count()
-        for k, rank in enumerate(betti._join_e_vector(smask, inside)):
+        for k, rank in enumerate(betti._e_vector(smask, inside)):
             if rank:
                 assert j - k >= 1
                 entries[(j - k, j)] = entries.get((j - k, j), 0) + rank
@@ -436,10 +436,26 @@ _rng = random.Random(20261018)
 HOMOLOGY_CASES += [(s, _random_antichain(_rng, s)) for s in (_rng.randint(2, 8) for _ in range(60))]
 
 
+def _random_covering_antichain(rng, s):
+    """An antichain whose supports cover all s vertices, so no vertex is a cone apex."""
+    while True:
+        masks = set()
+        while betti._union(masks) != (1 << s) - 1:
+            masks.add(sum(1 << v for v in rng.sample(range(s), rng.randint(2, 3))))
+        kept = frozenset(m for m in masks if not any(o != m and o & m == o for o in masks))
+        if betti._union(kept) == (1 << s) - 1:
+            return kept
+
+
+# 9 to 12 vertices: chains of strips and splits, at most 4,096 faces for the reference
+_rng = random.Random(20261019)
+HOMOLOGY_CASES += [(s, _random_covering_antichain(_rng, s)) for s in (_rng.randint(9, 12) for _ in range(24))]
+
+
 @pytest.mark.parametrize("s,gens", HOMOLOGY_CASES)
 def test_cluster_e_vector_matches_every_face_homology(s, gens):
     betti._cluster_cache.clear()
-    e = list(betti._cluster_e_vector(s, gens))
+    e = list(betti._e_vector((1 << s) - 1, list(gens)))
     ref = _reference_e_vector(s, gens)
     width = max(len(e), len(ref))
     assert e + [0] * (width - len(e)) == ref + [0] * (width - len(ref))
@@ -449,7 +465,24 @@ def test_cluster_e_vector_matches_every_face_homology(s, gens):
 def test_simplex_boundary_survives_the_strip(s):
     # no link in the boundary of a simplex is a cone, so its sphere is kept
     betti._cluster_cache.clear()
-    assert betti._cluster_e_vector(s, frozenset({(1 << s) - 1})) == (0,) * (s - 1) + (1,)
+    assert betti._e_vector((1 << s) - 1, [(1 << s) - 1]) == (0,) * (s - 1) + (1,)
+
+
+def test_a_restriction_on_other_vertex_bits_hits_the_same_cache_entry():
+    # the independence complex of a 6-cycle, two circles at a point: no
+    # vertex is a cone apex and no link is a cone
+    cycle = [0b000011, 0b000110, 0b001100, 0b011000, 0b110000, 0b100001]
+    betti._cluster_cache.clear()
+    e = betti._e_vector(0b111111, cycle)
+    entries = len(betti._cluster_cache)
+    # the same restriction on bits 1, 3, 4, 7, 9, 12, in the same order
+    spread = [1 << 1, 1 << 3, 1 << 4, 1 << 7, 1 << 9, 1 << 12]
+
+    def moved(mask):
+        return sum(b for v, b in enumerate(spread) if mask >> v & 1)
+
+    assert betti._e_vector(moved(0b111111), [moved(g) for g in cycle]) == e
+    assert len(betti._cluster_cache) == entries
 
 
 GRAPHS_6 = [(to_graph6(g), g) for g in enumerate_connected_graphs(6)]

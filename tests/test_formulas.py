@@ -43,6 +43,16 @@ def test_depth_lower_bound_general():
     assert rep.inputs["f"] == 2 and rep.inputs["d"] == 3
 
 
+def test_depth_lower_bounds_pass_the_induced_matching_cap():
+    # neither bound reads im, so graphs past the matching search's cap of 16
+    # vertices are evaluated, not refused
+    assert depth_lower_bound_general(graph_from_name("p17"), 2).value == 18
+    assert depth_lower_bound_general(graph_from_name("k17"), 2).value == 18
+    assert depth_lower_bound_general(graph_from_name("c20"), 2).value == 10
+    rep = depth_lower_bound_g2_gen(GenCoronaSpec(K2, (1,), (graph_from_name("p17"),)), 2)
+    assert rep.value == 20 and rep.inputs["attachment_f_plus_d"] == [18]
+
+
 def test_depth_upper_bound_kappa():
     assert depth_upper_bound_kappa(graph_from_name("p4"), 2).value == 5
     assert depth_upper_bound_kappa(graph_from_name("c4"), 2).value == 4
