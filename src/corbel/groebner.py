@@ -5,11 +5,22 @@ x_1 > ... > x_n > y_1 > ... > y_n; variable x_k is index k and y_k is index
 n+k.
 
 ``reduced_groebner_basis`` builds the basis combinatorially from admissible
-paths, with monomials as exponent tuples of length 2n, so Python's tuple
-comparison is exactly the lex order.  ``buchberger_oracle`` recomputes the
-initial ideal from the edge generators alone, with exact arithmetic over Q
-and nothing from the path walk.  It packs each monomial into one int,
-a guarded bit field per variable with x_1 on top, so int comparison is lex
+paths (Herzog, Hibi, Hreinsdottir, Kahle and Rauh, Adv. Appl. Math. 45,
+2010), with monomials as exponent tuples of length 2n, so Python's tuple
+comparison is exactly the lex order.  One walk per start vertex, over
+adjacency bitmasks, finds every admissible path from that vertex together
+with its coefficient monomial as a variable mask; ``initial_ideal`` takes
+its supports straight from those masks, and ``admissible_paths`` reads the
+same walk.
+
+``buchberger_oracle`` recomputes the initial ideal from the edge generators
+alone, with nothing from the path walk.  Those generators are differences
+x_a y_b - x_b y_a of two monomials, and every S-polynomial and remainder of
+such differences is again a difference of two monomials, or zero
+(Eisenbud and Sturmfels, *Binomial ideals*, Duke Math. J. 84, 1996,
+section 1).  So a basis element is a leading term and a tail, and no
+coefficient is stored or divided.  It packs each monomial into one int, a
+guarded bit field per variable with x_1 on top, so int comparison is lex
 order and products, quotients, divisibility, lcm and degree are a few
 integer operations; it drops useless critical pairs with Gebauer and
 Moeller's criteria M, F and B.  The two must agree.
@@ -20,7 +31,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import CapError, InputError
@@ -57,38 +67,70 @@ class AdmissiblePath:
         return frozenset(xs | ys)
 
 
+def _adjacency(g: Graph) -> list[int]:
+    """Neighbour masks, bit w for vertex w; slot 0 unused."""
+    return [sum(1 << w for w in nbrs) for nbrs in g.adj]
+
+
+def _walk(adj: list[int], n: int, i: int) -> list[tuple[int, int, int]]:
+    """(j, used, u) for every admissible path from i, in no particular order.
+
+    used is the path's vertex mask and u its coefficient monomial as a
+    variable mask (bit v for variable v).  The walk adds a vertex w only
+    when w's one neighbour on the path is the last vertex, so every path it
+    holds is induced.  Each w then closes a path at j = w when
+    i < w < bound, the smallest interior vertex above i so far, and also
+    goes on as an interior vertex: as y_w when w < i, and as x_w when w > i,
+    which lowers the bound.  A branch whose bound leaves no j above i stops.
+    """
+    found = []
+    stack = [(i, 1 << i, n + 1, 0)]
+    while stack:
+        last, used, bound, u = stack.pop()
+        last_bit = 1 << last
+        rest = adj[last] & ~used
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
+            if adj[w] & used != last_bit:
+                continue
+            grown = used | bit
+            if w < i:
+                stack.append((w, grown, bound, u | 1 << (n + w)))
+            elif w >= bound:
+                stack.append((w, grown, bound, u | bit))
+            else:
+                found.append((w, grown, u))
+                if w > i + 1:
+                    stack.append((w, grown, w, u | bit))
+    return found
+
+
 def admissible_paths(g: Graph, i: int, j: int) -> list[AdmissiblePath]:
     """All admissible paths from i to j, shortest first.
 
     A path is admissible when its interior avoids [i, j] and no proper
     subsequence of it is a path, that is, when it is an induced path.  The
-    walk prunes a branch as soon as the new vertex has a chord to an earlier
-    path vertex, since no extension of that branch is induced.
+    paths are those of the walk from i (``_walk``) that end at j.
     """
     g._check_vertex(i)
     g._check_vertex(j)
     if i >= j:
         raise InputError(f"need i < j, got ({i}, {j})")
+    adj = _adjacency(g)
     found = []
-    path = [i]
-    used = {i}
-
-    def extend():
-        last = path[-1]
-        for w in sorted(g.adj[last]):
-            # w's only neighbour on the path so far must be the last vertex
-            if w in used or len(g.adj[w] & used) > 1:
-                continue
-            if w == j:
-                found.append(tuple(path) + (w,))
-            elif w < i or w > j:
-                used.add(w)
-                path.append(w)
-                extend()
-                path.pop()
-                used.discard(w)
-
-    extend()
+    for end, used, _ in _walk(adj, g.n, i):
+        if end != j:
+            continue
+        # an induced path is the only path on its vertex set: follow it from i
+        path = [i]
+        rest = used ^ (1 << i)
+        while rest:
+            bit = adj[path[-1]] & rest
+            rest ^= bit
+            path.append(bit.bit_length() - 1)
+        found.append(tuple(path))
     return [AdmissiblePath(p) for p in sorted(found, key=lambda t: (len(t), t))]
 
 
@@ -147,11 +189,27 @@ def ideal_from_json_dict(obj) -> MonomialIdealSF:
     return MonomialIdealSF(obj["n_vars"], tuple(frozenset(s) for s in gens))
 
 
-def _support_to_exp(nv: int, support) -> tuple[int, ...]:
-    exp = [0] * nv
-    for k in support:
-        exp[k - 1] = 1
-    return tuple(exp)
+def _path_masks(g: Graph) -> list[tuple[int, int, int]]:
+    """(i, j, u) for every admissible path of g, from one walk per start i."""
+    if g.n > GROEBNER_CAP:
+        raise CapError("groebner path enumeration capped", size=g.n, cap=GROEBNER_CAP)
+    adj = _adjacency(g)
+    return [(i, j, u) for i in range(1, g.n) for j, _, u in _walk(adj, g.n, i)]
+
+
+def _exponents(nv: int, mask: int) -> tuple[int, ...]:
+    """The squarefree monomial with variable mask ``mask`` as an exponent tuple."""
+    return tuple(mask >> v & 1 for v in range(1, nv + 1))
+
+
+def _support(mask: int) -> frozenset[int]:
+    """The variables of a variable mask."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return frozenset(out)
 
 
 def reduced_groebner_basis(g: Graph) -> list[Binomial]:
@@ -160,32 +218,29 @@ def reduced_groebner_basis(g: Graph) -> list[Binomial]:
     Distinct admissible paths give distinct leading terms.  Sorted by
     leading term, largest first.
     """
-    if g.n > GROEBNER_CAP:
-        raise CapError("groebner path enumeration capped", size=g.n, cap=GROEBNER_CAP)
     n = g.n
     nv = 2 * n
-    out = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        for path in admissible_paths(g, i, j):
-            u = path.u_support(n)
-            plus = _support_to_exp(nv, u | {i, n + j})
-            minus = _support_to_exp(nv, u | {j, n + i})
-            out.append(Binomial(plus, minus))
+    out = [
+        Binomial(
+            _exponents(nv, u | 1 << i | 1 << (n + j)),
+            _exponents(nv, u | 1 << j | 1 << (n + i)),
+        )
+        for i, j, u in _path_masks(g)
+    ]
     return sorted(out, key=lambda b: b.plus, reverse=True)
 
 
 def initial_ideal(g: Graph) -> MonomialIdealSF:
-    """Minimal generators of the lex initial ideal: the basis's leading terms."""
-    basis = reduced_groebner_basis(g)
-    supports = (frozenset(k + 1 for k, e in enumerate(b.plus) if e) for b in basis)
-    return MonomialIdealSF(2 * g.n, tuple(supports))
+    """Minimal generators of the lex initial ideal: the supports of u * x_i y_j."""
+    n = g.n
+    supports = (_support(u | 1 << i | 1 << (n + j)) for i, j, u in _path_masks(g))
+    return MonomialIdealSF(2 * n, tuple(supports))
 
 
 # ---------------------------------------------------------------------------
 # Buchberger oracle: packed monomials, Gebauer-Moeller pair pruning.
-# Polynomials are dicts mapping packed monomials to nonzero coefficients,
-# plain ints until a division by a non-unit leading coefficient makes them
-# Fractions.
+# A basis element k is the difference lts[k] - tails[k] of two packed
+# monomials; no coefficient is stored, since every one is +1 or -1.
 
 EXP_BITS = 7  # every exponent stays below 2**EXP_BITS, or the oracle raises
 
@@ -227,11 +282,6 @@ class _Packing:
             raise OverflowError(f"a packed exponent reached 2**{EXP_BITS}")
         return c
 
-    def divides(self, a: int, b: int) -> bool:
-        """a | b: no field of b - a borrows from its guard bit."""
-        g = self.guard
-        return ((b | g) - a) & g == g
-
     def first_divisor(self, m: int, lts) -> int:
         """Position of the first monomial in lts dividing m, or -1."""
         g = self.guard
@@ -241,68 +291,38 @@ class _Packing:
                 return pos
         return -1
 
-    def lcm(self, a: int, b: int) -> int:
-        """Field-wise max: the guard bits of (a | G) - b mark fields where a >= b."""
-        d = ((a | self.guard) - b) & self.guard
-        mask = d - (d >> EXP_BITS)
-        return (a & mask) | (b & ~mask)
-
     def degree(self, m: int) -> int:
         """Sum of the fields, gathered into the top field by one multiply."""
         return ((m * self._ones) >> self._top) & self._field
 
 
-def _normal_form(p: dict, basis: list[dict], lts: list[int], pk: _Packing) -> dict:
-    """Full reduction of p by basis, whose elements have leading terms lts."""
-    result = {}
-    work = dict(p)
-    while work:
-        mono = max(work)
-        coef = work.pop(mono)
-        hit = pk.first_divisor(mono, lts)
-        if hit < 0:
-            result[mono] = coef
-            continue
-        lt = lts[hit]
-        shift = mono - lt
-        for m2, c2 in basis[hit].items():
-            if m2 == lt:
-                continue
-            m3 = pk.mul(m2, shift)
-            nc = work.get(m3, 0) - coef * c2
-            if nc:
-                work[m3] = nc
-            else:
-                work.pop(m3, None)
-    return result
+def _reduce_term(m: int, lts: list[int], tails: list[int], pk: _Packing) -> int:
+    """m rewritten by the first lts[k] dividing it, m / lts[k] * tails[k], until none does."""
+    while True:
+        k = pk.first_divisor(m, lts)
+        if k < 0:
+            return m
+        m = pk.mul(m - lts[k], tails[k])
 
 
-def _make_monic(p: dict, lt: int) -> dict:
-    lc = p[lt]
-    if lc == 1:
-        return p
-    if lc == -1:
-        return {m: -c for m, c in p.items()}
-    return {m: Fraction(c) / lc for m, c in p.items()}
+def _remainder(
+    a: int, b: int, lts: list[int], tails: list[int], pk: _Packing
+) -> tuple[int, int] | None:
+    """Full reduction of a - b by the differences lts[k] - tails[k].
 
-
-def _s_polynomial(f: dict, lt_f: int, h: dict, lt_h: int, lcm: int, pk: _Packing) -> dict:
-    """lcm/lt_f * f - lcm/lt_h * h for monic f and h; the lcm terms cancel."""
-    s: dict = {}
-    shift = lcm - lt_f
-    for m, c in f.items():
-        if m != lt_f:
-            s[pk.mul(m, shift)] = c
-    shift = lcm - lt_h
-    for m, c in h.items():
-        if m != lt_h:
-            m2 = pk.mul(m, shift)
-            nc = s.get(m2, 0) - c
-            if nc:
-                s[m2] = nc
-            else:
-                s.pop(m2, None)
-    return s
+    Each step rewrites the larger term by the first leading term dividing
+    it; the difference is zero, and None is returned, once the two terms
+    meet.  When the larger term is irreducible it is the leading term, and
+    the smaller is reduced on its own.  Returns (leading term, tail).
+    """
+    while a != b:
+        if a < b:
+            a, b = b, a
+        k = pk.first_divisor(a, lts)
+        if k < 0:
+            return a, _reduce_term(b, lts, tails, pk)
+        a = pk.mul(a - lts[k], tails[k])
+    return None
 
 
 def _update(pairs: list, live: list[int], lts: list[int], pk: _Packing) -> tuple[list, list[int]]:
@@ -315,89 +335,110 @@ def _update(pairs: list, live: list[int], lts: list[int], pk: _Packing) -> tuple
     out (Buchberger's product criterion).  An old pair falls to criterion B
     when the new leading term divides its lcm and neither of its elements'
     lcms with the new term equals it.  Live elements whose leading term the
-    new one divides become redundant.
+    new one divides become redundant.  Divisibility and lcm are written out
+    on the packed ints: a | b exactly when ((b | G) - a) & G == G for the
+    guard bits G, and the guard bits of (a | G) - b mark the fields where
+    a >= b, which the lcm takes from a.
     """
+    guard, shift = pk.guard, EXP_BITS
     new = len(lts) - 1
     lt_h = lts[new]
-    cand = [(pk.lcm(lt_h, lts[g]), g) for g in live]
-    lcms = [l1 for l1, _ in cand]
+    hg = lt_h | guard
+    # lcm(lt_h, t) field by field: d marks the fields where lt_h >= t
+    lcms = []
+    for g in live:
+        t = lts[g]
+        d = (hg - t) & guard
+        mask = d - (d >> shift)
+        lcms.append((lt_h & mask) | (t & ~mask))
     kept: list = []
     kept_lcms: list[int] = []
-    for pos, (l1, g) in enumerate(cand):
-        coprime = l1 == lt_h + lts[g]
-        if coprime or (
-            pk.first_divisor(l1, kept_lcms) < 0 and pk.first_divisor(l1, lcms[pos + 1:]) < 0
-        ):
+    for pos, g in enumerate(live):
+        l1 = lcms[pos]
+        if l1 == lt_h + lts[g]:
+            kept_lcms.append(l1)  # coprime: it prunes others but makes no pair
+            continue
+        lg = l1 | guard
+        for l2 in kept_lcms + lcms[pos + 1:]:
+            if (lg - l2) & guard == guard:
+                break
+        else:
             kept.append((l1, g))
             kept_lcms.append(l1)
-    survivors = [
-        pair
-        for pair in pairs
-        if not pk.divides(lt_h, pair[1])
-        or pk.lcm(lts[pair[2]], lt_h) == pair[1]
-        or pk.lcm(lts[pair[3]], lt_h) == pair[1]
-    ]
-    for l1, g in kept:
-        if l1 != lt_h + lts[g]:
-            survivors.append((pk.degree(l1), l1, g, new))
+    survivors = []
+    for pair in pairs:
+        lcm = pair[1]
+        if ((lcm | guard) - lt_h) & guard == guard:
+            a, b = lts[pair[2]], lts[pair[3]]
+            d = (hg - a) & guard
+            mask = d - (d >> shift)
+            if (lt_h & mask) | (a & ~mask) != lcm:
+                d = (hg - b) & guard
+                mask = d - (d >> shift)
+                if (lt_h & mask) | (b & ~mask) != lcm:
+                    continue
+        survivors.append(pair)
+    survivors += [(pk.degree(l1), l1, g, new) for l1, g in kept]
     heapq.heapify(survivors)
-    return survivors, [g for g in live if not pk.divides(lt_h, lts[g])] + [new]
+    return survivors, [g for g in live if ((lts[g] | guard) - lt_h) & guard != guard] + [new]
 
 
 def buchberger_oracle(g: Graph) -> MonomialIdealSF:
     """Initial ideal recomputed from scratch with Buchberger's algorithm.
 
-    Takes only the edge binomials x_a y_b - x_b y_a.  Monomials are packed
-    ints (see ``_Packing``): products and quotients are + and -, and an
-    exponent reaching its guard bit raises OverflowError.  Pairs wait in a
-    heap by (lcm degree, lcm), the normal selection strategy, and are pruned
-    by Gebauer and Moeller's criteria M, F and B and the product criterion
-    (J. Symb. Comput. 6, 1988).  S-polynomials are fully reduced against the
-    non-redundant elements only.  Coefficients are ints, and Fractions once
-    a leading coefficient is not +-1, so the arithmetic is exact over Q.
-    The final basis is interreduced; a non-unit coefficient or a
-    non-squarefree leading term in it is reported as an internal
-    consistency error.
+    Takes only the edge binomials x_a y_b - x_b y_a.  Every S-polynomial and
+    remainder of differences of two monomials is again such a difference or
+    zero (Eisenbud and Sturmfels, Duke Math. J. 84, 1996, section 1), so
+    each basis element is a leading term and a tail, and the S-polynomial
+    of elements a and b is (lcm / lt_b) tail_b - (lcm / lt_a) tail_a.
+    Monomials are packed ints (see ``_Packing``): products and quotients
+    are + and -, and an exponent reaching its guard bit raises
+    OverflowError.  Pairs wait in a heap by (lcm degree, lcm), the normal
+    selection strategy, and are pruned by Gebauer and Moeller's criteria M,
+    F and B and the product criterion (J. Symb. Comput. 6, 1988).
+    S-polynomials are fully reduced against the non-redundant elements
+    only.  The tails of the final basis are interreduced; a reduced tail
+    not below its leading term, or a non-squarefree leading term, is
+    reported as an internal consistency error.
     """
     if g.n > BUCHBERGER_CAP:
         raise CapError("buchberger oracle capped", size=g.n, cap=BUCHBERGER_CAP)
     n = g.n
     nv = 2 * n
     pk = _Packing(nv)
-    basis: list[dict] = []
     lts: list[int] = []
+    tails: list[int] = []
     live: list[int] = []
     pairs: list = []
     for a, b in g.edges():
-        plus = pk.pack(_support_to_exp(nv, {a, n + b}))
-        minus = pk.pack(_support_to_exp(nv, {b, n + a}))
-        basis.append({plus: 1, minus: -1})
-        lts.append(plus)
+        lts.append(pk.pack(_exponents(nv, 1 << a | 1 << (n + b))))
+        tails.append(pk.pack(_exponents(nv, 1 << b | 1 << (n + a))))
         pairs, live = _update(pairs, live, lts, pk)
+    live_lts = [lts[k] for k in live]
+    live_tails = [tails[k] for k in live]
     while pairs:
         _, lcm, ia, ib = heapq.heappop(pairs)
-        s = _s_polynomial(basis[ia], lts[ia], basis[ib], lts[ib], lcm, pk)
-        r = _normal_form(s, [basis[i] for i in live], [lts[i] for i in live], pk)
+        s_a = pk.mul(lcm - lts[ia], tails[ia])
+        s_b = pk.mul(lcm - lts[ib], tails[ib])
+        r = _remainder(s_a, s_b, live_lts, live_tails, pk)
         if r:
-            lt = max(r)
-            basis.append(_make_monic(r, lt))
-            lts.append(lt)
+            lts.append(r[0])
+            tails.append(r[1])
             pairs, live = _update(pairs, live, lts, pk)
+            live_lts = [lts[k] for k in live]
+            live_tails = [tails[k] for k in live]
 
     # the live leading terms form an antichain: interreduce the tails
     supports = []
-    for pos, i in enumerate(live):
-        others = live[:pos] + live[pos + 1:]
-        lt = lts[i]
-        tail = {m: c for m, c in basis[i].items() if m != lt}
-        tail = _normal_form(tail, [basis[k] for k in others], [lts[k] for k in others], pk)
-        for c in tail.values():
-            if c != 1 and c != -1:
-                raise RuntimeError(
-                    "internal consistency error: non-unit coefficient in reduced basis"
-                )
-        exps = pk.unpack(lt)
+    for pos, k in enumerate(live):
+        other_lts = live_lts[:pos] + live_lts[pos + 1:]
+        other_tails = live_tails[:pos] + live_tails[pos + 1:]
+        if _reduce_term(tails[k], other_lts, other_tails, pk) >= lts[k]:
+            raise RuntimeError(
+                "internal consistency error: reduced tail not below its leading term"
+            )
+        exps = pk.unpack(lts[k])
         if any(e > 1 for e in exps):
             raise RuntimeError("internal consistency error: non-squarefree leading term")
-        supports.append(frozenset(k + 1 for k, e in enumerate(exps) if e))
+        supports.append(frozenset(v + 1 for v, e in enumerate(exps) if e))
     return MonomialIdealSF(nv, tuple(supports))

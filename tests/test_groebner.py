@@ -1,8 +1,8 @@
 """Admissible-path Groebner bases and the Buchberger cross-check."""
 
+import itertools
 import json
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +17,6 @@ from corbel.groebner import (
     EXP_BITS,
     GROEBNER_CAP,
     MonomialIdealSF,
-    _make_monic,
     _Packing,
     _update,
     admissible_paths,
@@ -143,6 +142,18 @@ def test_buchberger_agrees_on_whiskers(payload):
     assert buchberger_oracle(h) == initial_ideal(h)
 
 
+# every connected graph on exactly 7 vertices, one size past RELABELED_GRAPHS
+SEVEN_VERTEX_GRAPHS = [
+    (to_graph6(g), _relabeled(g, _rng)) for g in enumerate_connected_graphs(7) if g.n == 7
+]
+
+
+def test_buchberger_agrees_on_relabeled_seven_vertex_graphs():
+    assert len(SEVEN_VERTEX_GRAPHS) == 853
+    for name, g in SEVEN_VERTEX_GRAPHS:
+        assert buchberger_oracle(g) == initial_ideal(g), name
+
+
 def test_whisker_universe_size():
     assert len(_WHISKER_PAYLOADS) == 31
     assert max(spec_from_json_dict(p["spec"]).composite().n for p in _WHISKER_PAYLOADS) == 10
@@ -169,13 +180,11 @@ def test_packed_order_is_lex_order(case):
 
 
 @given(_exponents())
-def test_packed_divisibility_lcm_and_degree(case):
+def test_packed_quotient_and_degree(case):
     pk, a, b = case
     pa, pb = pk.pack(a), pk.pack(b)
-    assert pk.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
-    assert pk.unpack(pk.lcm(pa, pb)) == tuple(max(x, y) for x, y in zip(a, b))
     assert pk.degree(pa) == sum(a)
-    if pk.divides(pa, pb):
+    if all(x <= y for x, y in zip(a, b)):
         assert pk.unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
 
 
@@ -236,12 +245,6 @@ def test_update_applies_the_gebauer_moeller_criteria():
     assert live == [0, 1]
 
 
-def test_make_monic_is_exact_for_non_unit_leads():
-    p = _make_monic({8: 2, 3: -3}, 8)
-    assert p == {8: 1, 3: Fraction(-3, 2)}
-    assert _make_monic({8: -1, 3: 1}, 8) == {8: 1, 3: -1}
-
-
 def test_caps():
     for engine, cap in (
         (reduced_groebner_basis, GROEBNER_CAP),
@@ -270,6 +273,37 @@ def test_reversed_labels_swap_x_and_y():
             nv, tuple(frozenset(nv + 1 - v for v in s) for s in initial_ideal(g).generators)
         )
         assert initial_ideal(_reversed(g)) == mirrored, name
+
+
+def _induced_paths_by_definition(g, i, j):
+    """Every vertex sequence from i to j whose interior avoids [i, j] and in
+    which two vertices are adjacent exactly when they are consecutive."""
+    outside = [v for v in g.vertices() if v < i or v > j]
+    found = []
+    for k in range(len(outside) + 1):
+        for interior in itertools.permutations(outside, k):
+            seq = (i, *interior, j)
+            if all(
+                g.has_edge(seq[a], seq[b]) == (b == a + 1)
+                for a, b in itertools.combinations(range(len(seq)), 2)
+            ):
+                found.append(seq)
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def test_admissible_paths_match_the_definition():
+    for name, g in SMALL_GRAPHS:
+        for i, j in itertools.combinations(g.vertices(), 2):
+            got = [p.vertices for p in admissible_paths(g, i, j)]
+            assert got == _induced_paths_by_definition(g, i, j), (name, i, j)
+
+
+def test_initial_ideal_is_the_leading_terms_of_the_basis():
+    # both read the one path walk; this keeps its two readers in step
+    for name, g in SMALL_GRAPHS:
+        basis = reduced_groebner_basis(g)
+        leads = tuple(frozenset(k + 1 for k, e in enumerate(b.plus) if e) for b in basis)
+        assert initial_ideal(g).generators == MonomialIdealSF(2 * g.n, leads).generators, name
 
 
 def test_one_generator_per_admissible_path():
