@@ -12,10 +12,7 @@ from .constructions import (
     ClassMembership,
     GenCoronaSpec,
     class_membership,
-    cone,
-    generalized_corona,
     spec_from_json_dict,
-    vertex_op_triple,
     whisker,
     whisker_on_set,
 )
@@ -49,9 +46,7 @@ from .graphs import (
     to_graph6,
 )
 from .groebner import (
-    AdmissiblePath,
     MonomialIdealSF,
-    admissible_paths,
     buchberger_oracle,
     initial_ideal,
     reduced_groebner_basis,
@@ -61,14 +56,12 @@ from .invariants import (
     hypergraph_induced_matching_bound,
     induced_matching_number,
     invariant_report,
-    is_gap_free,
     vertex_connectivity,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissiblePath",
     "BettiTable",
     "BoundReport",
     "CapError",
@@ -81,12 +74,10 @@ __all__ = [
     "MonomialIdealSF",
     "ParseError",
     "UsageError",
-    "admissible_paths",
     "betti_table",
     "buchberger_oracle",
     "class_membership",
     "classify_cm",
-    "cone",
     "decompose_at_vertex",
     "depth_equality_gprime",
     "depth_lower_bound_g2_binom",
@@ -99,13 +90,11 @@ __all__ = [
     "enumerate_cutsets",
     "from_edge_list",
     "from_graph6",
-    "generalized_corona",
     "graph_from_name",
     "hypergraph_induced_matching_bound",
     "induced_matching_number",
     "initial_ideal",
     "invariant_report",
-    "is_gap_free",
     "is_unmixed",
     "lcm_lattice",
     "minimal_primes",
@@ -117,7 +106,6 @@ __all__ = [
     "sr_dimension",
     "to_graph6",
     "vertex_connectivity",
-    "vertex_op_triple",
     "whisker",
     "whisker_on_set",
 ]

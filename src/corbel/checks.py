@@ -96,7 +96,7 @@ def _connected_graphs(max_n: int) -> tuple[str, list[dict]]:
 def _whiskers(max_base: int, gap_free: bool = False) -> tuple[str, list[dict]]:
     payloads = []
     for g in enumerate_connected_graphs(max_base):
-        if gap_free and not invariants.invariant_report(g).gap_free:
+        if gap_free and invariants.induced_matching_number(g)[0] != 1:
             continue
         spec, _ = whisker(g)
         payloads.append({"id": f"W({to_graph6(g)})", "spec": spec.to_json_dict()})

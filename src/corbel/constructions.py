@@ -1,4 +1,4 @@
-"""Whisker, generalized corona, and cone constructions, plus class membership.
+"""Whisker and generalized corona constructions, plus class membership.
 
 A generalized corona hangs an attachment graph H_i on each vertex v_i of a
 chosen base-vertex subset S: the composite keeps the base on labels 1..p and
@@ -13,13 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import (
-    Graph,
-    from_edge_list,
-    g_v_operation,
-    induced_subgraph,
-    is_free_vertex,
-)
+from .graphs import Graph, from_edge_list, is_free_vertex
 
 
 @dataclass(frozen=True)
@@ -133,18 +127,6 @@ def whisker_on_set(g: Graph, s) -> tuple[GenCoronaSpec, Graph]:
     return spec, spec.composite()
 
 
-def generalized_corona(g: Graph, s, attachments) -> Graph:
-    """Composite of the corona of g over s with the given attachment graphs."""
-    spec = GenCoronaSpec(g, tuple(s), tuple(attachments))
-    return spec.composite()
-
-
-def cone(h: Graph) -> Graph:
-    """Join a fresh apex (label 1) to every vertex of h (relabeled 2..n+1)."""
-    spec = GenCoronaSpec(from_edge_list(1, []), (1,), (h,))
-    return spec.composite()
-
-
 @dataclass(frozen=True)
 class ClassMembership:
     """Membership flags; ``in_gprime`` is None when no attachment depths are given.
@@ -194,52 +176,6 @@ def class_membership(spec: GenCoronaSpec, depth_of_h=None, m: int = 2) -> ClassM
     elif all(h.is_complete() for h in spec.attachments):
         in_gprime = in_g2
     return ClassMembership(in_g1, in_g2, in_gprime, witness)
-
-
-@dataclass(frozen=True)
-class VertexOpTriple:
-    """Specs produced by completing or deleting an attachment vertex v.
-
-    ``detached`` with ``remainder`` describes D - v as a disjoint union;
-    ``completed`` describes D_v; ``completed_minus`` describes D_v - v.
-    """
-
-    detached: Graph
-    remainder: GenCoronaSpec
-    completed: GenCoronaSpec
-    completed_minus: GenCoronaSpec
-
-
-def vertex_op_triple(spec: GenCoronaSpec, v: int) -> VertexOpTriple:
-    """Close the composite class under the vertex operations at v.
-
-    v must be an attachment vertex and the spec must satisfy the covering
-    condition; each returned spec satisfies it as well.
-    """
-    if v not in spec.attach_set:
-        raise InputError(f"vertex {v} is not in the attachment set")
-    if not class_membership(spec).in_g2:
-        raise InputError("spec does not cover all non-free base vertices")
-    i = spec.attach_set.index(v)
-    rest_s = tuple(u for u in spec.attach_set if u != v)
-    rest_h = spec.attachments[:i] + spec.attachments[i + 1:]
-
-    base_minus, bmap = induced_subgraph(spec.base, set(spec.base.vertices()) - {v})
-    remainder = GenCoronaSpec(base_minus, tuple(bmap[u] for u in rest_s), rest_h)
-
-    d = spec.composite()
-    dv = g_v_operation(d, v)
-    off = spec.block_offset(i)
-    block = range(off + 1, off + 1 + spec.attachments[i].n)
-    keep = list(spec.base.vertices()) + list(block)
-    # base vertices sort first, so they keep their labels in the new base
-    base2, _ = induced_subgraph(dv, keep)
-    completed = GenCoronaSpec(base2, rest_s, rest_h)
-
-    base3, m3 = induced_subgraph(base2, set(base2.vertices()) - {v})
-    completed_minus = GenCoronaSpec(base3, tuple(m3[u] for u in rest_s), rest_h)
-
-    return VertexOpTriple(spec.attachments[i], remainder, completed, completed_minus)
 
 
 def whisker_matching_labeling(g: Graph) -> Graph:

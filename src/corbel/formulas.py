@@ -1,10 +1,11 @@
 """Closed-form depth, regularity, and dimension bounds.
 
 Every function here is pure arithmetic over invariants computed elsewhere:
-feed it an InvariantReport (or plain counts) and it returns a BoundReport
-carrying the tag, the value, whether it bounds from below or above or is an
-equality, and the inputs it consumed.  Nothing in this module touches a
-Groebner basis.
+it takes a graph or a corona spec (plus any attachment depths or dimensions
+it needs), reads only the invariants its formula uses, and returns a
+BoundReport carrying the tag, the value, whether it bounds from below or
+above or is an equality, and the inputs it consumed.  Nothing in this module
+touches a Groebner basis.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from .constructions import GenCoronaSpec, class_membership
 from .errors import InputError
 from .graphs import Graph, connected_components, is_connected, ncomponents
 from .invariants import (
-    InvariantReport,
     _component_diameter,
     free_vertex_counts,
-    invariant_report,
+    induced_matching_number,
     isolated_count,
+    vertex_connectivity,
 )
 
 Kind = str  # "lower" | "upper" | "equality"
@@ -74,23 +75,22 @@ def depth_upper_bound_kappa(g: Graph, m: int = 2) -> BoundReport:
         raise InputError("m must be at least 2")
     if not is_connected(g) or g.n == 0:
         raise InputError("upper bound needs a connected graph")
-    rep = invariant_report(g)
-    assert rep.kappa is not None
-    if rep.kappa_complete_convention:
+    kappa, complete = vertex_connectivity(g)
+    if complete:
         # no disconnecting set exists; fall back to the connected-graph form,
         # which complete graphs attain exactly
         value = m + g.n - 1
     else:
-        value = m + g.n - rep.kappa
+        value = m + g.n - kappa
     return BoundReport(
         "thm2.5",
         value,
         "upper",
         {
             "n": g.n,
-            "kappa": rep.kappa,
+            "kappa": kappa,
             "m": m,
-            "complete_convention": rep.kappa_complete_convention,
+            "complete_convention": complete,
         },
     )
 
@@ -195,10 +195,10 @@ def reg_upper_bound_g1(spec: GenCoronaSpec, m: int = 2) -> BoundReport:
     membership = class_membership(spec)
     if not membership.in_g1:
         raise InputError("spec is not a whisker construction covering all non-free vertices")
-    rep = invariant_report(spec.base)
+    im, _ = induced_matching_number(spec.base)
     n_total = spec.total_vertices()
     ell = len(spec.attach_set)
-    class_bound = (m - 1) * (ell + rep.im)
+    class_bound = (m - 1) * (ell + im)
     if m >= n_total:
         value = n_total - 1
     else:
@@ -209,7 +209,7 @@ def reg_upper_bound_g1(spec: GenCoronaSpec, m: int = 2) -> BoundReport:
         "upper",
         {
             "s": ell,
-            "im": rep.im,
+            "im": im,
             "m": m,
             "n_total": n_total,
             "class_bound": class_bound,
@@ -219,10 +219,10 @@ def reg_upper_bound_g1(spec: GenCoronaSpec, m: int = 2) -> BoundReport:
 
 def reg_gapfree_whisker(g: Graph) -> BoundReport:
     """reg(R/J_{W(G)}) = |V(G)| + 1 for gap-free G with at least one edge."""
-    rep = invariant_report(g)
-    if not rep.gap_free:
+    im, _ = induced_matching_number(g)
+    if im != 1:
         raise InputError("graph is not gap-free")
-    return BoundReport("thm4.6", g.n + 1, "equality", {"p": g.n, "im": rep.im})
+    return BoundReport("thm4.6", g.n + 1, "equality", {"p": g.n, "im": im})
 
 
 def dim_g2prime(spec: GenCoronaSpec, dim_of_h) -> BoundReport:

@@ -236,13 +236,6 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or ncomponents(g) == 1
 
 
-def is_cut_vertex(g: Graph, v: int) -> bool:
-    """True when deleting v increases the number of components."""
-    g._check_vertex(v)
-    sub, _ = induced_subgraph(g, set(g.vertices()) - {v})
-    return ncomponents(sub) > ncomponents(g)
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union with h's labels shifted above g's."""
     edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
@@ -333,14 +326,6 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     partitions, since what lies below depends only on the partition.
     """
     return (g.n, _min_edge_mask(_rows(g)))
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n:
-        return False
-    if sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
-        return False
-    return canonical_form(g) == canonical_form(h)
 
 
 def enumerate_connected_graphs(max_n: int):

@@ -10,8 +10,7 @@ paths (Herzog, Hibi, Hreinsdottir, Kahle and Rauh, Adv. Appl. Math. 45,
 comparison is exactly the lex order.  One walk per start vertex, over
 adjacency bitmasks, finds every admissible path from that vertex together
 with its coefficient monomial as a variable mask; ``initial_ideal`` takes
-its supports straight from those masks, and ``admissible_paths`` reads the
-same walk.
+its supports straight from those masks.
 
 ``buchberger_oracle`` recomputes the initial ideal from the edge generators
 alone, with nothing from the path walk.  Those generators are differences
@@ -38,33 +37,6 @@ from .graphs import Graph
 
 GROEBNER_CAP = 12
 BUCHBERGER_CAP = 10
-
-
-@dataclass(frozen=True)
-class AdmissiblePath:
-    """An induced path i = v_0, ..., v_r = j with i < j.
-
-    Interior vertices lie outside [i, j]; interiors above j contribute x
-    factors and interiors below i contribute y factors to the coefficient
-    monomial.
-    """
-
-    vertices: tuple[int, ...]
-
-    @property
-    def i(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def j(self) -> int:
-        return self.vertices[-1]
-
-    def u_support(self, n: int) -> frozenset[int]:
-        """Variable indices of the coefficient monomial u."""
-        interior = self.vertices[1:-1]
-        xs = {k for k in interior if k > self.j}
-        ys = {n + l for l in interior if l < self.i}
-        return frozenset(xs | ys)
 
 
 def _adjacency(g: Graph) -> list[int]:
@@ -107,33 +79,6 @@ def _walk(adj: list[int], n: int, i: int) -> list[tuple[int, int, int]]:
     return found
 
 
-def admissible_paths(g: Graph, i: int, j: int) -> list[AdmissiblePath]:
-    """All admissible paths from i to j, shortest first.
-
-    A path is admissible when its interior avoids [i, j] and no proper
-    subsequence of it is a path, that is, when it is an induced path.  The
-    paths are those of the walk from i (``_walk``) that end at j.
-    """
-    g._check_vertex(i)
-    g._check_vertex(j)
-    if i >= j:
-        raise InputError(f"need i < j, got ({i}, {j})")
-    adj = _adjacency(g)
-    found = []
-    for end, used, _ in _walk(adj, g.n, i):
-        if end != j:
-            continue
-        # an induced path is the only path on its vertex set: follow it from i
-        path = [i]
-        rest = used ^ (1 << i)
-        while rest:
-            bit = adj[path[-1]] & rest
-            rest ^= bit
-            path.append(bit.bit_length() - 1)
-        found.append(tuple(path))
-    return [AdmissiblePath(p) for p in sorted(found, key=lambda t: (len(t), t))]
-
-
 @dataclass(frozen=True)
 class Binomial:
     """plus - minus with both coefficients one; plus is the lex leading term."""
@@ -171,22 +116,6 @@ class MonomialIdealSF:
     def masks(self) -> tuple[int, ...]:
         """Generator supports as bitmasks, bit v for variable v, in generator order."""
         return tuple(sum(1 << v for v in s) for s in self.generators)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            "generators": [sorted(s) for s in self.generators],
-        }
-
-
-def ideal_from_json_dict(obj) -> MonomialIdealSF:
-    if not isinstance(obj, dict) or "n_vars" not in obj or "generators" not in obj:
-        raise InputError("ideal JSON must be an object with 'n_vars' and 'generators' keys")
-    gens = obj["generators"]
-    ok = isinstance(gens, list) and all(isinstance(s, list) for s in gens)
-    if not (ok and all(type(v) is int for s in gens for v in s)):
-        raise InputError("ideal JSON 'generators' must be a list of lists of integers")
-    return MonomialIdealSF(obj["n_vars"], tuple(frozenset(s) for s in gens))
 
 
 def _path_masks(g: Graph) -> list[tuple[int, int, int]]:

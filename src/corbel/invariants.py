@@ -21,6 +21,7 @@ from .errors import CapError, InputError
 from .graphs import Graph, connected_components, is_free_vertex
 
 MATCHING_CAP = 16
+CONNECTIVITY_CAP = 18
 
 
 def _component_diameter(g: Graph, comp: frozenset[int]) -> int:
@@ -100,26 +101,25 @@ def induced_matching_number(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]
     return size, tuple(edges[i] for i in best)
 
 
-def is_gap_free(g: Graph) -> bool:
-    """True when the induced matching number is exactly one."""
-    if g.num_edges() == 0:
-        raise InputError("gap-freeness is undefined for edgeless graphs")
-    return induced_matching_number(g)[0] == 1
-
-
 class KappaResult(NamedTuple):
     value: int
     complete_convention: bool
 
 
 def vertex_connectivity(g: Graph) -> KappaResult:
-    """Minimum vertex cut size; complete graphs report n-1 with a flag."""
+    """Minimum vertex cut size; complete graphs report n-1 with a flag.
+
+    The search tries the C(n, k) vertex sets of each size k in turn, so a
+    non-complete graph past CONNECTIVITY_CAP vertices raises CapError.
+    """
     if g.n == 0:
         raise InputError("vertex connectivity needs a non-empty graph")
     if len(connected_components(g)) != 1:
         raise InputError("vertex connectivity is defined here for connected graphs only")
     if g.is_complete():
         return KappaResult(g.n - 1, True)
+    if g.n > CONNECTIVITY_CAP:
+        raise CapError("vertex connectivity search capped", size=g.n, cap=CONNECTIVITY_CAP)
     verts = list(g.vertices())
     for k in range(1, g.n - 1):
         for cut in itertools.combinations(verts, k):

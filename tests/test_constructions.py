@@ -1,4 +1,4 @@
-"""Whisker and corona builders, class membership, vertex operations."""
+"""Whisker and corona builders and class membership."""
 
 import pytest
 
@@ -6,16 +6,13 @@ from corbel.errors import InputError
 from corbel.constructions import (
     GenCoronaSpec,
     class_membership,
-    cone,
-    generalized_corona,
     non_free_vertices,
     spec_from_json_dict,
-    vertex_op_triple,
     whisker,
     whisker_matching_labeling,
     whisker_on_set,
 )
-from corbel.graphs import graph_from_name, is_isomorphic
+from corbel.graphs import canonical_form, from_edge_list, graph_from_name
 
 
 def edges_of(g):
@@ -32,7 +29,7 @@ def test_whisker_p3_shape():
 
 def test_whisker_k2_is_p4():
     _, comp = whisker(graph_from_name("k2"))
-    assert is_isomorphic(comp, graph_from_name("p4"))
+    assert canonical_form(comp) == canonical_form(graph_from_name("p4"))
 
 
 def test_whisker_on_set_shape():
@@ -43,18 +40,19 @@ def test_whisker_on_set_shape():
 
 
 def test_generalized_corona_blocks():
-    g = generalized_corona(
+    g = GenCoronaSpec(
         graph_from_name("k2"),
         (1, 2),
         (graph_from_name("k2"), graph_from_name("k1")),
-    )
+    ).composite()
     assert g.n == 5
     # block vertices join only their chosen base vertex
     assert edges_of(g) == [(1, 2), (1, 3), (1, 4), (2, 5), (3, 4)]
 
 
 def test_cone_of_p3_is_diamond():
-    c = cone(graph_from_name("p3"))
+    # a single-vertex base carrying H is the cone over H, apex labeled 1
+    c = GenCoronaSpec(from_edge_list(1, []), (1,), (graph_from_name("p3"),)).composite()
     assert c.n == 4
     assert edges_of(c) == [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
 
@@ -105,30 +103,6 @@ def test_spec_json_round_trip():
     assert spec_from_json_dict(spec.to_json_dict()) == spec
     doc = spec.to_json_dict()
     assert set(doc) == {"base", "S", "H"}
-
-
-def test_vertex_op_triple_shapes():
-    spec, _ = whisker(graph_from_name("p3"))
-    t = vertex_op_triple(spec, 2)
-    assert t.detached.n == 1
-    assert t.remainder.base.n == 2
-    assert t.remainder.composite().n == 4
-    # completing v pulls its whisker into the base
-    assert t.completed.base.n == 4
-    assert t.completed.composite().n == 6
-    assert t.completed_minus.base.n == 3
-    # every derived spec still covers its non-free base vertices
-    for s in (t.remainder, t.completed, t.completed_minus):
-        assert class_membership(s).in_g2
-
-
-def test_vertex_op_triple_rejects():
-    spec, _ = whisker(graph_from_name("p3"))
-    with pytest.raises(InputError):
-        vertex_op_triple(spec, 99)
-    bad, _ = whisker_on_set(graph_from_name("p3"), {1, 3})
-    with pytest.raises(InputError):
-        vertex_op_triple(bad, 1)
 
 
 def test_whisker_matching_labeling():

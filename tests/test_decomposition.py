@@ -12,7 +12,6 @@ from corbel.graphs import (
     from_edge_list,
     graph_from_name,
     induced_subgraph,
-    is_cut_vertex,
     to_graph6,
 )
 from corbel.groebner import initial_ideal
@@ -61,8 +60,10 @@ def reference_cutsets(g):
         for t in itertools.combinations(g.vertices(), size):
             kept = True
             for v in t:
-                sub, label = induced_subgraph(g, allv - (set(t) - {v}))
-                kept = kept and is_cut_vertex(sub, label[v])
+                # v is a cut vertex of G - (T - v): deleting it adds components
+                keep = allv - (set(t) - {v})
+                with_v = len(connected_components(g, keep))
+                kept = kept and len(connected_components(g, keep - {v})) > with_v
             if kept:
                 rest, label = induced_subgraph(g, allv - set(t))
                 old = {new: o for o, new in label.items()}

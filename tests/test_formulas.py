@@ -61,6 +61,9 @@ def test_depth_upper_bound_kappa():
     assert rep.inputs["complete_convention"] is True
     with pytest.raises(InputError):
         depth_upper_bound_kappa(disjoint_union(K2, K2), 2)
+    # thm2.5 reads kappa alone, so the matching search's cap of 16 does not apply
+    rep = depth_upper_bound_kappa(graph_from_name("p17"), 2)
+    assert rep.value == 18 and rep.inputs["kappa"] == 1
 
 
 def test_depth_lower_bound_g2_gen():

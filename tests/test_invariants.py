@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from corbel.errors import CapError, InputError
+from corbel.errors import CapError
 from corbel.graphs import (
     disjoint_union,
     enumerate_connected_graphs,
@@ -17,12 +17,12 @@ from corbel.graphs import (
 from corbel.groebner import MonomialIdealSF, initial_ideal
 from corbel.constructions import whisker_matching_labeling
 from corbel.invariants import (
+    CONNECTIVITY_CAP,
     MATCHING_CAP,
     free_vertex_counts,
     hypergraph_induced_matching_bound,
     induced_matching_number,
     invariant_report,
-    is_gap_free,
     vertex_connectivity,
 )
 
@@ -129,10 +129,10 @@ def test_hypergraph_bound_against_brute_force():
 
 
 def test_gap_free():
-    assert is_gap_free(graph_from_name("k3"))
-    assert not is_gap_free(graph_from_name("p5"))
-    with pytest.raises(InputError):
-        is_gap_free(graph_from_name("3k1"))
+    assert invariant_report(graph_from_name("k3")).gap_free
+    assert not invariant_report(graph_from_name("p5")).gap_free
+    # an edgeless graph has no edge to be gap-free about
+    assert not invariant_report(graph_from_name("3k1")).gap_free
 
 
 def test_vertex_connectivity():
@@ -141,6 +141,19 @@ def test_vertex_connectivity():
     # complete graphs have no disconnecting set; value follows the n-1
     # convention and the flag records that the usual definition ran out
     assert vertex_connectivity(graph_from_name("k4")) == (3, True)
+
+
+def test_vertex_connectivity_cap():
+    # K_n less a maximum matching, the search's worst case: no cut below n - 2
+    n = CONNECTIVITY_CAP + 1
+    k = graph_from_name(f"k{n}")
+    matching = {(v, v + 1) for v in range(1, n, 2)}
+    cocktail_party = from_edge_list(n, [e for e in k.edges() if e not in matching])
+    with pytest.raises(CapError) as exc:
+        vertex_connectivity(cocktail_party)
+    assert (exc.value.size, exc.value.cap) == (n, CONNECTIVITY_CAP)
+    # a complete graph needs no search, so it is not capped
+    assert vertex_connectivity(k) == (n - 1, True)
 
 
 def test_hypergraph_bound_against_reg():
