@@ -17,8 +17,8 @@ emitted at two or more positions: their Betti numbers come from reduced
 simplicial homology of restrictions of the Stanley-Reisner complex.  All
 homology is computed over the rationals by exact integer elimination; no
 floating point anywhere.  Characteristic zero is baked in.  All three steps
-work on bitmasks, bit v for variable v, read from ``MonomialIdealSF.masks``,
-the one place supports become masks; a multidegree's degree is its bit count.
+work on bitmasks, bit v for variable v, the form ``MonomialIdealSF`` stores
+its generators in; a multidegree's degree is its bit count.
 
 Depth is read off as number-of-variables minus projective dimension.  For a
 graph the oracle works on the lex initial ideal of its edge binomial ideal:
@@ -371,7 +371,7 @@ def _oracle_ideal(g: Graph) -> MonomialIdealSF:
         pos = {v: k for k, v in enumerate(order, start=1)}
         relabeled = from_edge_list(g.n, [(pos[a], pos[b]) for a, b in edges])
         ideal = initial_ideal(relabeled)
-        score = (sum(len(s) for s in ideal.generators), len(ideal.generators))
+        score = (sum(m.bit_count() for m in ideal.masks), len(ideal.masks))
         if best_score is None or score < best_score:
             best, best_score = ideal, score
             if score[0] == closed_sum:

@@ -228,8 +228,8 @@ def _paths_match_buchberger(payload: dict) -> dict:
     buch = groebner.buchberger_oracle(g)
     return _record(
         payload["id"],
-        len(paths_ideal.generators),
-        len(buch.generators),
+        len(paths_ideal.masks),
+        len(buch.masks),
         paths_ideal == buch,
     )
 

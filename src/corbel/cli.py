@@ -178,8 +178,8 @@ def analyze_report(
         if membership.in_g1:
             bounds.append(formulas.reg_upper_bound_g1(spec, m))
             base = spec.base
-            base_rep = invariants.invariant_report(base)
-            if len(spec.attach_set) == base.n and base_rep.gap_free and m == 2:
+            gap_free = invariants.induced_matching_number(base)[0] == 1
+            if len(spec.attach_set) == base.n and gap_free and m == 2:
                 bounds.append(formulas.reg_gapfree_whisker(base))
         if membership.in_g2 and m == 2 and with_oracle:
             depths = [betti.oracle_depth_reg(h)[0] for h in spec.attachments]

@@ -121,14 +121,12 @@ class DecompositionTriple:
     """The three graphs behind the vertex decomposition at v.
 
     ``completed`` keeps all labels; the two deletions are relabeled onto
-    1..n-1 and carry their old-to-new maps.
+    1..n-1 in label order.
     """
 
     completed: Graph
     deleted: Graph
-    deleted_map: dict[int, int]
     completed_deleted: Graph
-    completed_deleted_map: dict[int, int]
 
 
 def decompose_at_vertex(g: Graph, v: int) -> DecompositionTriple:
@@ -137,9 +135,9 @@ def decompose_at_vertex(g: Graph, v: int) -> DecompositionTriple:
         raise InputError(f"vertex {v} is free; the decomposition needs a non-free vertex")
     gv = g_v_operation(g, v)
     rest = set(g.vertices()) - {v}
-    minus, mmap = induced_subgraph(g, rest)
-    gv_minus, gvmap = induced_subgraph(gv, rest)
-    return DecompositionTriple(gv, minus, mmap, gv_minus, gvmap)
+    minus, _ = induced_subgraph(g, rest)
+    gv_minus, _ = induced_subgraph(gv, rest)
+    return DecompositionTriple(gv, minus, gv_minus)
 
 
 class CmVerdict(NamedTuple):

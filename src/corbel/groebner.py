@@ -9,8 +9,9 @@ paths (Herzog, Hibi, Hreinsdottir, Kahle and Rauh, Adv. Appl. Math. 45,
 2010), with monomials as exponent tuples of length 2n, so Python's tuple
 comparison is exactly the lex order.  One walk per start vertex, over
 adjacency bitmasks, finds every admissible path from that vertex together
-with its coefficient monomial as a variable mask; ``initial_ideal`` takes
-its supports straight from those masks.
+with its coefficient monomial as a variable mask; ``initial_ideal`` passes
+those masks straight to ``MonomialIdealSF``, which stores generators as
+masks.
 
 ``buchberger_oracle`` recomputes the initial ideal from the edge generators
 alone, with nothing from the path walk.  Those generators are differences
@@ -93,29 +94,35 @@ class Binomial:
 
 @dataclass(frozen=True)
 class MonomialIdealSF:
-    """Squarefree monomial ideal given by inclusion-minimal generator supports."""
+    """Squarefree monomial ideal given by its inclusion-minimal generators.
+
+    Each generator is a variable mask, bit v for variable v with
+    1 <= v <= n_vars; the constructor stores them in increasing order.
+    """
 
     n_vars: int
-    generators: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        # type(x) is int: a bool, such as JSON's true, is not a count or an index
+        # type(x) is int: a bool, such as JSON's true, is not a count, an index or a mask
         if not (type(self.n_vars) is int and self.n_vars >= 0):
             raise InputError(f"variable count must be a nonnegative integer, got {self.n_vars!r}")
-        for s in self.generators:
-            ok = type(s) is frozenset and all(type(v) is int and 1 <= v <= self.n_vars for v in s)
-            if not (s and ok):
-                raise InputError(f"support {s!r} is not a nonempty frozenset of 1..{self.n_vars}")
-        gens = sorted(set(self.generators), key=sorted)
-        for a, b in itertools.combinations(gens, 2):
-            if a <= b or b <= a:
-                raise InputError("generator supports are not inclusion-minimal")
-        object.__setattr__(self, "generators", tuple(gens))
+        top = 2 << self.n_vars
+        for m in self.masks:
+            if not (type(m) is int and 0 < m < top and not m & 1):
+                raise InputError(f"mask {m!r} is not a nonempty set of variables 1..{self.n_vars}")
+        masks = sorted(set(self.masks))
+        # a proper subset has the smaller mask, so it comes first
+        if any(a & b == a for a, b in itertools.combinations(masks, 2)):
+            raise InputError("generator supports are not inclusion-minimal")
+        object.__setattr__(self, "masks", tuple(masks))
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Generator supports as bitmasks, bit v for variable v, in generator order."""
-        return tuple(sum(1 << v for v in s) for s in self.generators)
+    def generators(self) -> tuple[frozenset[int], ...]:
+        """The generators as sets of variables, in mask order."""
+        return tuple(
+            frozenset(v for v in range(1, m.bit_length()) if m >> v & 1) for m in self.masks
+        )
 
 
 def _path_masks(g: Graph) -> list[tuple[int, int, int]]:
@@ -129,16 +136,6 @@ def _path_masks(g: Graph) -> list[tuple[int, int, int]]:
 def _exponents(nv: int, mask: int) -> tuple[int, ...]:
     """The squarefree monomial with variable mask ``mask`` as an exponent tuple."""
     return tuple(mask >> v & 1 for v in range(1, nv + 1))
-
-
-def _support(mask: int) -> frozenset[int]:
-    """The variables of a variable mask."""
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length() - 1)
-    return frozenset(out)
 
 
 def reduced_groebner_basis(g: Graph) -> list[Binomial]:
@@ -162,8 +159,7 @@ def reduced_groebner_basis(g: Graph) -> list[Binomial]:
 def initial_ideal(g: Graph) -> MonomialIdealSF:
     """Minimal generators of the lex initial ideal: the supports of u * x_i y_j."""
     n = g.n
-    supports = (_support(u | 1 << i | 1 << (n + j)) for i, j, u in _path_masks(g))
-    return MonomialIdealSF(2 * n, tuple(supports))
+    return MonomialIdealSF(2 * n, tuple(u | 1 << i | 1 << (n + j) for i, j, u in _path_masks(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +354,7 @@ def buchberger_oracle(g: Graph) -> MonomialIdealSF:
             live_tails = [tails[k] for k in live]
 
     # the live leading terms form an antichain: interreduce the tails
-    supports = []
+    masks = []
     for pos, k in enumerate(live):
         other_lts = live_lts[:pos] + live_lts[pos + 1:]
         other_tails = live_tails[:pos] + live_tails[pos + 1:]
@@ -369,5 +365,5 @@ def buchberger_oracle(g: Graph) -> MonomialIdealSF:
         exps = pk.unpack(lts[k])
         if any(e > 1 for e in exps):
             raise RuntimeError("internal consistency error: non-squarefree leading term")
-        supports.append(frozenset(v + 1 for v, e in enumerate(exps) if e))
-    return MonomialIdealSF(nv, tuple(supports))
+        masks.append(sum(1 << v for v, e in enumerate(exps, start=1) if e))
+    return MonomialIdealSF(nv, tuple(masks))

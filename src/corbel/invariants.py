@@ -191,8 +191,9 @@ def hypergraph_induced_matching_bound(ideal) -> tuple[int, tuple[frozenset[int],
     """Best value of sum(|e_i| - 1) over induced matchings of generator supports.
 
     An induced matching here is a pairwise disjoint set of supports such that
-    no other generator support lies inside its union.  The search reads
-    ``ideal.masks``; the ``MonomialIdealSF`` constructor keeps them minimal.
+    no other generator support lies inside its union.  The search runs on
+    ``ideal.masks``, which the ``MonomialIdealSF`` constructor keeps minimal;
+    the witness is read from the ``generators`` view, ties in mask order.
     """
     best_val, best = _induced_matching(ideal.masks, [m.bit_count() - 1 for m in ideal.masks])
     return best_val, tuple(ideal.generators[i] for i in best)

@@ -67,6 +67,23 @@ def test_analyze_spec_full_report(tmp_path):
     assert dec["witness"]["T"] == [2]
 
 
+@pytest.mark.parametrize("n,gap_free", [(3, True), (5, False)])
+def test_analyze_spec_states_thm46_only_on_gap_free_whiskers(tmp_path, n, gap_free):
+    # W(P3) has induced matching number 1, W(P5) has 2
+    spec = {
+        "base": {"n": n, "edges": [[v, v + 1] for v in range(1, n)]},
+        "S": list(range(1, n + 1)),
+        "H": [{"n": 1, "edges": []}] * n,
+    }
+    path = tmp_path / "wp.json"
+    path.write_text(json.dumps(spec))
+    rc, out, _ = run_cli("analyze", "--spec", str(path))
+    assert rc == 0
+    names = [b["name"] for b in json.loads(out)["bounds"]]
+    assert ("thm4.6" in names) is gap_free
+    assert "thm4.2" in names
+
+
 def test_analyze_spec_with_disconnected_attachments(tmp_path):
     # lem5.1's pinned double star k2|S=1,2|H=2k1,2k1: thm3.2 and thm3.5 need
     # connected attachments, so they are left out instead of failing the run

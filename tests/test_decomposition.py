@@ -167,7 +167,6 @@ def test_decompose_at_vertex():
         (2, 3),
     ]
     assert t.deleted.n == 2
-    assert t.deleted_map == {1: 1, 3: 2}
     assert t.completed_deleted.n == 2
     assert t.completed_deleted.num_edges() == 1
 
