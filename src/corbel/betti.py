@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import CapError
-from .graphs import Graph, canonical_form, from_edge_list
+from .graphs import Graph, bits, canonical_form, from_edge_list
 from .groebner import MonomialIdealSF, initial_ideal
 
 BETTI_VAR_CAP = 20
@@ -333,20 +333,20 @@ def _bfs_order(g: Graph, start: int) -> list[int]:
     vertex by (degree, label).
     """
     def key(v):
-        return (len(g.adj[v]), v)
+        return (g.adj[v].bit_count(), v)
 
     roots = sorted(g.vertices(), key=key)
     order = [start]
-    seen = {start}
+    seen = 1 << start
     k = 0
     while len(order) < g.n:
         if k == len(order):
-            root = next(v for v in roots if v not in seen)
+            root = next(v for v in roots if not seen >> v & 1)
             order.append(root)
-            seen.add(root)
-        for w in sorted(g.adj[order[k]] - seen, key=key):
-            order.append(w)
-            seen.add(w)
+            seen |= 1 << root
+        fresh = g.adj[order[k]] & ~seen
+        order += sorted(bits(fresh), key=key)
+        seen |= fresh
         k += 1
     return order
 

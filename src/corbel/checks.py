@@ -32,7 +32,7 @@ from .graphs import (
     from_json_dict,
     graph_from_name,
     is_connected,
-    is_free_vertex,
+    non_free_vertices,
     to_graph6,
     to_json_dict,
 )
@@ -179,11 +179,8 @@ def _graphs_and_labeled_whiskers(max_n: int) -> tuple[str, list[dict]]:
 def _non_free_vertex_choices(max_n: int) -> tuple[str, list[dict]]:
     payloads = []
     for g in enumerate_connected_graphs(max_n):
-        for v in g.vertices():
-            if not is_free_vertex(g, v):
-                payloads.append(
-                    {"id": f"{to_graph6(g)}@v{v}", "graph": to_json_dict(g), "v": v}
-                )
+        for v in sorted(non_free_vertices(g)):
+            payloads.append({"id": f"{to_graph6(g)}@v{v}", "graph": to_json_dict(g), "v": v})
     return (
         f"connected graphs on at most {max_n} vertices, each non-free vertex",
         payloads,
@@ -341,17 +338,16 @@ def _exact_sequence(payload: dict) -> dict:
 
 def _iv_drop(payload: dict) -> dict:
     g = from_json_dict(payload["graph"])
-    iv0 = invariants.free_vertex_counts(g)[1]
+    nonfree = non_free_vertices(g)
+    iv0 = len(nonfree)
     worst = -1
-    for v in g.vertices():
-        if is_free_vertex(g, v):
-            continue
+    for v in nonfree:
         triple = decomposition.decompose_at_vertex(g, v)
         worst = max(
             worst,
-            invariants.free_vertex_counts(triple.completed)[1],
-            invariants.free_vertex_counts(triple.deleted)[1],
-            invariants.free_vertex_counts(triple.completed_deleted)[1],
+            len(non_free_vertices(triple.completed)),
+            len(non_free_vertices(triple.deleted)),
+            len(non_free_vertices(triple.completed_deleted)),
         )
     if worst < 0:
         return _record(payload["id"], iv0, None, True)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, from_edge_list, is_free_vertex
+from .graphs import Graph, from_edge_list, non_free_vertices
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,6 @@ def spec_from_json_dict(obj) -> GenCoronaSpec:
         tuple(obj["S"]),
         tuple(from_json_dict(h) for h in obj["H"]),
     )
-
-
-def non_free_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose neighborhood is not a clique."""
-    return frozenset(v for v in g.vertices() if not is_free_vertex(g, v))
 
 
 def covering_sets(g: Graph):

@@ -22,6 +22,7 @@ from .constructions import GenCoronaSpec, class_membership
 from .errors import CapError, InputError
 from .graphs import (
     Graph,
+    bits,
     connected_components,
     g_v_operation,
     induced_subgraph,
@@ -54,13 +55,13 @@ def enumerate_cutsets(g: Graph) -> list[Cutset]:
     """All cutsets, sorted by size then lexicographically."""
     if g.n > CUTSET_CAP:
         raise CapError("cutset enumeration capped", size=g.n, cap=CUTSET_CAP)
-    allv = set(g.vertices())
+    full = (2 << g.n) - 2
     out = []
     for size in range(g.n + 1):
-        for t in itertools.combinations(sorted(allv), size):
-            parts = connected_components(g, allv.difference(t))
+        for t in itertools.combinations(g.vertices(), size):
+            parts = connected_components(g, full ^ sum(1 << v for v in t))
             if all(sum(1 for p in parts if g.adj[v] & p) >= 2 for v in t):
-                out.append(Cutset(frozenset(t), tuple(parts)))
+                out.append(Cutset(frozenset(t), tuple(frozenset(bits(p)) for p in parts)))
     return out
 
 

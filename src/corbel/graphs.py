@@ -1,8 +1,9 @@
 """Labeled simple graphs on vertices 1..n: construction, queries, enumeration.
 
-Vertices are contiguous 1-based labels throughout.  Operations that delete
-vertices relabel the result back onto 1..k and return the old-to-new label
-map, so variable orders built on top of the labels stay well defined.
+Vertices are contiguous 1-based labels throughout, and a vertex set is a
+mask with bit v for vertex v.  Operations that delete vertices relabel the
+result back onto 1..k and return the old-to-new label map, so variable
+orders built on top of the labels stay well defined.
 """
 
 from __future__ import annotations
@@ -20,32 +21,34 @@ ENUMERATION_CAP = 7
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; ``adj[v]`` is the neighbor set of v (slot 0 unused)."""
+    """Simple undirected graph on 1..n, stored as neighbour masks.
+
+    ``adj[v]`` has bit w set for each neighbour w of v; ``adj[0]`` is 0, so
+    no mask has bit 0 set.
+    """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    adj: tuple[int, ...]
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        self._check_vertex(v)
+        return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self.adj[u]
+        return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u in self.vertices() for v in sorted(self.adj[u]) if u < v]
+        # -(2 << u) keeps the bits above u
+        return [(u, v) for u in self.vertices() for v in bits(self.adj[u] & -(2 << u))]
 
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj[1:]) // 2
+        return sum(m.bit_count() for m in self.adj) // 2
 
     def is_complete(self) -> bool:
         return self.num_edges() == self.n * (self.n - 1) // 2
@@ -58,12 +61,22 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first: the vertices of a vertex mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph on 1..n from an iterable of (i, j) pairs."""
     # type(x) is int: a bool, such as JSON's true, is not a vertex count or label
     if not (type(n) is int and n >= 0):
         raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
-    nbrs: list[set[int]] = [set() for _ in range(n + 1)]
+    adj = [0] * (n + 1)
     for e in edges:
         try:
             i, j = e
@@ -75,9 +88,9 @@ def from_edge_list(n: int, edges) -> Graph:
             raise InputError(f"edge {e!r} leaves the vertex range 1..{n}")
         if i == j:
             raise InputError(f"loop at vertex {i} is not allowed")
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return Graph(n, tuple(frozenset(s) for s in nbrs))
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
 
 
 def to_json_dict(g: Graph) -> dict:
@@ -157,16 +170,13 @@ def to_graph6(g: Graph) -> str:
         head = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
     else:
         raise CapError("graph6 writer supports at most 258047 vertices", size=n, cap=258047)
-    bits = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    flags = [g.adj[j] >> i & 1 for j in range(2, n + 1) for i in range(1, j)]
+    while len(flags) % 6:
+        flags.append(0)
     body = []
-    for k in range(0, len(bits), 6):
+    for k in range(0, len(flags), 6):
         val = 0
-        for b in bits[k:k + 6]:
+        for b in flags[k:k + 6]:
             val = (val << 1) | b
         body.append(chr(val + 63))
     return head + "".join(body)
@@ -191,40 +201,43 @@ def induced_subgraph(g: Graph, keep) -> tuple[Graph, dict[int, int]]:
 def g_v_operation(g: Graph, v: int) -> Graph:
     """Complete the neighborhood of v, keeping all labels."""
     g._check_vertex(v)
-    nbrs = sorted(g.neighbors(v))
-    extra = [(a, b) for a, b in itertools.combinations(nbrs, 2)]
-    return from_edge_list(g.n, g.edges() + extra)
+    nbrs = g.adj[v]
+    adj = list(g.adj)
+    for w in bits(nbrs):
+        adj[w] |= nbrs ^ 1 << w
+    return Graph(g.n, tuple(adj))
 
 
 def is_free_vertex(g: Graph, v: int) -> bool:
     """True when the neighborhood of v induces a clique."""
     g._check_vertex(v)
-    nbrs = sorted(g.neighbors(v))
-    return all(g.has_edge(a, b) for a, b in itertools.combinations(nbrs, 2))
+    nbrs = g.adj[v]
+    return all(nbrs & ~g.adj[w] == 1 << w for w in bits(nbrs))
 
 
-def connected_components(g: Graph, within=None) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, ordered by smallest member.
+def non_free_vertices(g: Graph) -> frozenset[int]:
+    """Vertices whose neighborhood is not a clique."""
+    return frozenset(v for v in g.vertices() if not is_free_vertex(g, v))
 
-    With ``within``, the components of the subgraph induced on those
-    vertices, which keep their labels.
+
+def connected_components(g: Graph, within: int | None = None) -> list[int]:
+    """Vertex masks of the connected components, ordered by lowest member.
+
+    With ``within``, a vertex mask, the components of the subgraph induced
+    on those vertices, which keep their labels.
     """
-    vs = set(g.vertices() if within is None else within)
-    seen: set[int] = set()
+    left = (2 << g.n) - 2 if within is None else within
     parts = []
-    for start in sorted(vs):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in vs and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        parts.append(frozenset(comp))
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for u in bits(frontier):
+                reach |= g.adj[u]
+            frontier = reach & left & ~comp
+            comp |= frontier
+        left ^= comp
+        parts.append(comp)
     return parts
 
 
@@ -245,27 +258,17 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # isomorphism and enumeration
 
-def _rows(g: Graph) -> tuple[int, ...]:
-    # 0-based adjacency bit rows: bit u - 1 of entry v - 1 is the edge uv
-    return tuple(sum(1 << (u - 1) for u in g.adj[v]) for v in g.vertices())
-
-
-def _graph_from_rows(rows) -> Graph:
-    nbrs = [frozenset(u + 1 for u in range(len(rows)) if row >> u & 1) for row in rows]
-    return Graph(len(rows), (frozenset(), *nbrs))
-
-
-def _min_edge_mask(rows) -> int:
-    """The minimal edge mask of the graph with these bit rows; see canonical_form."""
+def _min_edge_mask(adj) -> int:
+    """The minimal edge mask of the graph with these neighbour masks; see canonical_form."""
     by_degree: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        d = row.bit_count()
+    for v in range(1, len(adj)):
+        d = adj[v].bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     # a state is the ordered partition of the unlabeled vertices into cells,
     # lowest labels first; each cell owns the next block of labels
     frontier = {tuple(by_degree[d] for d in sorted(by_degree, reverse=True))}
     mask = 0
-    for k in range(len(rows), 1, -1):
+    for k in range(len(adj) - 1, 1, -1):
         best = -1
         survivors: set[tuple[int, ...]] = set()
         for cells in frontier:
@@ -275,10 +278,10 @@ def _min_edge_mask(rows) -> int:
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                row = rows[bit.bit_length() - 1]
+                row = adj[bit.bit_length() - 1]
                 # swapping two twins in one cell is an automorphism that
                 # fixes the partition, so both choices give the same subtree
-                if any((row ^ rows[t.bit_length() - 1]) & ~(bit | t) == 0 for t in tried):
+                if any((row ^ adj[t.bit_length() - 1]) & ~(bit | t) == 0 for t in tried):
                     continue
                 tried.append(bit)
                 column = 0
@@ -325,7 +328,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     minimal, tries one vertex of each set of twins, and merges equal
     partitions, since what lies below depends only on the partition.
     """
-    return (g.n, _min_edge_mask(_rows(g)))
+    return (g.n, _min_edge_mask(g.adj))
 
 
 def enumerate_connected_graphs(max_n: int):
@@ -335,7 +338,7 @@ def enumerate_connected_graphs(max_n: int):
     every representative of the order below by a new top vertex with each
     nonempty neighbourhood, keeps the first candidate of each canonical
     form, and yields them sorted by that form, so the stream is
-    deterministic.  Candidates are handled as adjacency bit rows; a Graph is
+    deterministic.  Candidates are bare neighbour-mask tuples; a Graph is
     built only for the representatives.  The size is checked at the call,
     before any graph is built: a max_n that is not an int of at least 1 is
     an InputError, and one above ENUMERATION_CAP is a CapError.
@@ -352,21 +355,21 @@ def enumerate_connected_graphs(max_n: int):
 
 
 def _iter_connected_graphs(max_n: int):
-    reps: list[tuple[int, ...]] = [(0,)]
-    yield _graph_from_rows(reps[0])
+    reps: list[tuple[int, ...]] = [(0, 0)]
+    yield Graph(1, reps[0])
     for n in range(2, max_n + 1):
-        new = 1 << (n - 1)
+        new = 1 << n
         seen: dict[int, tuple[int, ...]] = {}
         for base in reps:
             # every connected graph arises from a connected one by adding a
             # vertex with a nonempty neighborhood (delete a non-cut vertex)
-            for mask in range(1, new):
+            for mask in range(2, new, 2):
                 grown = (row | new if mask >> v & 1 else row for v, row in enumerate(base))
-                rows = (*grown, mask)
-                seen.setdefault(_min_edge_mask(rows), rows)
+                adj = (*grown, mask)
+                seen.setdefault(_min_edge_mask(adj), adj)
         reps = [seen[k] for k in sorted(seen)]
-        for rows in reps:
-            yield _graph_from_rows(rows)
+        for adj in reps:
+            yield Graph(n, adj)
 
 
 def graph_from_name(name: str) -> Graph:

@@ -7,11 +7,11 @@ n+k.
 ``reduced_groebner_basis`` builds the basis combinatorially from admissible
 paths (Herzog, Hibi, Hreinsdottir, Kahle and Rauh, Adv. Appl. Math. 45,
 2010), with monomials as exponent tuples of length 2n, so Python's tuple
-comparison is exactly the lex order.  One walk per start vertex, over
-adjacency bitmasks, finds every admissible path from that vertex together
-with its coefficient monomial as a variable mask; ``initial_ideal`` passes
-those masks straight to ``MonomialIdealSF``, which stores generators as
-masks.
+comparison is exactly the lex order.  One walk per start vertex, over the
+graph's neighbour masks, finds every admissible path from that vertex
+together with its coefficient monomial as a variable mask;
+``initial_ideal`` passes those masks straight to ``MonomialIdealSF``, which
+stores generators as masks.
 
 ``buchberger_oracle`` recomputes the initial ideal from the edge generators
 alone, with nothing from the path walk.  Those generators are differences
@@ -40,12 +40,7 @@ GROEBNER_CAP = 12
 BUCHBERGER_CAP = 10
 
 
-def _adjacency(g: Graph) -> list[int]:
-    """Neighbour masks, bit w for vertex w; slot 0 unused."""
-    return [sum(1 << w for w in nbrs) for nbrs in g.adj]
-
-
-def _walk(adj: list[int], n: int, i: int) -> list[tuple[int, int, int]]:
+def _walk(adj: tuple[int, ...], n: int, i: int) -> list[tuple[int, int, int]]:
     """(j, used, u) for every admissible path from i, in no particular order.
 
     used is the path's vertex mask and u its coefficient monomial as a
@@ -129,8 +124,7 @@ def _path_masks(g: Graph) -> list[tuple[int, int, int]]:
     """(i, j, u) for every admissible path of g, from one walk per start i."""
     if g.n > GROEBNER_CAP:
         raise CapError("groebner path enumeration capped", size=g.n, cap=GROEBNER_CAP)
-    adj = _adjacency(g)
-    return [(i, j, u) for i in range(1, g.n) for j, _, u in _walk(adj, g.n, i)]
+    return [(i, j, u) for i in range(1, g.n) for j, _, u in _walk(g.adj, g.n, i)]
 
 
 def _exponents(nv: int, mask: int) -> tuple[int, ...]:

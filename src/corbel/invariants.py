@@ -18,38 +18,37 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapError, InputError
-from .graphs import Graph, connected_components, is_free_vertex
+from .graphs import Graph, bits, connected_components, non_free_vertices
 
 MATCHING_CAP = 16
 CONNECTIVITY_CAP = 18
 
 
-def _component_diameter(g: Graph, comp: frozenset[int]) -> int:
-    # BFS from every vertex of the component
+def _component_diameter(g: Graph, comp: int) -> int:
+    # BFS layers from every vertex of the component mask
     best = 0
-    for src in comp:
-        dist = {src: 0}
-        frontier = [src]
+    for src in bits(comp):
+        seen = frontier = 1 << src
+        ecc = -1
         while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        best = max(best, max(dist.values()))
+            ecc += 1
+            reach = 0
+            for u in bits(frontier):
+                reach |= g.adj[u]
+            frontier = reach & ~seen
+            seen |= frontier
+        best = max(best, ecc)
     return best
 
 
 def isolated_count(g: Graph) -> int:
-    return sum(1 for v in g.vertices() if not g.adj[v])
+    return g.adj[1:].count(0)
 
 
 def free_vertex_counts(g: Graph) -> tuple[int, int, frozenset[int], frozenset[int]]:
     """(f, iv, free set, non-free set); f + iv = n."""
-    free = frozenset(v for v in g.vertices() if is_free_vertex(g, v))
-    nonfree = frozenset(g.vertices()) - free
+    nonfree = non_free_vertices(g)
+    free = frozenset(g.vertices()) - nonfree
     return len(free), len(nonfree), free, nonfree
 
 
@@ -120,10 +119,11 @@ def vertex_connectivity(g: Graph) -> KappaResult:
         return KappaResult(g.n - 1, True)
     if g.n > CONNECTIVITY_CAP:
         raise CapError("vertex connectivity search capped", size=g.n, cap=CONNECTIVITY_CAP)
-    verts = list(g.vertices())
+    full = (2 << g.n) - 2
+    singles = [1 << v for v in g.vertices()]
     for k in range(1, g.n - 1):
-        for cut in itertools.combinations(verts, k):
-            if len(connected_components(g, set(verts) - set(cut))) > 1:
+        for cut in itertools.combinations(singles, k):
+            if len(connected_components(g, full ^ sum(cut))) > 1:
                 return KappaResult(k, False)
     raise RuntimeError("unreachable: non-complete connected graph has a cut")
 
@@ -187,13 +187,13 @@ def invariant_report(g: Graph) -> InvariantReport:
     )
 
 
-def hypergraph_induced_matching_bound(ideal) -> tuple[int, tuple[frozenset[int], ...]]:
+def hypergraph_induced_matching_bound(ideal) -> tuple[int, tuple[int, ...]]:
     """Best value of sum(|e_i| - 1) over induced matchings of generator supports.
 
     An induced matching here is a pairwise disjoint set of supports such that
     no other generator support lies inside its union.  The search runs on
     ``ideal.masks``, which the ``MonomialIdealSF`` constructor keeps minimal;
-    the witness is read from the ``generators`` view, ties in mask order.
+    the witness is the matched generator masks, ties in mask order.
     """
     best_val, best = _induced_matching(ideal.masks, [m.bit_count() - 1 for m in ideal.masks])
-    return best_val, tuple(ideal.generators[i] for i in best)
+    return best_val, tuple(ideal.masks[i] for i in best)

@@ -292,7 +292,7 @@ def _isomorphism(g, h):
     """A vertex map g -> h carrying edges onto edges, by backtracking, or None."""
     if g.n != h.n or len(g.edges()) != len(h.edges()):
         return None
-    order = sorted(g.vertices(), key=lambda v: -len(g.adj[v]))
+    order = sorted(g.vertices(), key=lambda v: -g.degree(v))
     image: dict[int, int] = {}
 
     def extend(k):
@@ -300,9 +300,9 @@ def _isomorphism(g, h):
             return True
         v = order[k]
         for w in h.vertices():
-            if w in image.values() or len(h.adj[w]) != len(g.adj[v]):
+            if w in image.values() or h.degree(w) != g.degree(v):
                 continue
-            if all((u in g.adj[v]) == (image[u] in h.adj[w]) for u in order[:k]):
+            if all(g.has_edge(v, u) == h.has_edge(w, image[u]) for u in order[:k]):
                 image[v] = w
                 if extend(k + 1):
                     return True

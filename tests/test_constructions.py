@@ -6,13 +6,12 @@ from corbel.errors import InputError
 from corbel.constructions import (
     GenCoronaSpec,
     class_membership,
-    non_free_vertices,
     spec_from_json_dict,
     whisker,
     whisker_matching_labeling,
     whisker_on_set,
 )
-from corbel.graphs import canonical_form, from_edge_list, graph_from_name
+from corbel.graphs import canonical_form, from_edge_list, graph_from_name, non_free_vertices
 
 
 def edges_of(g):

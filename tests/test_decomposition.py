@@ -7,6 +7,7 @@ import pytest
 from corbel.checks import g2_universe
 from corbel.errors import CapError, InputError
 from corbel.graphs import (
+    bits,
     connected_components,
     enumerate_connected_graphs,
     from_edge_list,
@@ -61,13 +62,13 @@ def reference_cutsets(g):
             kept = True
             for v in t:
                 # v is a cut vertex of G - (T - v): deleting it adds components
-                keep = allv - (set(t) - {v})
+                keep = sum(1 << u for u in allv - (set(t) - {v}))
                 with_v = len(connected_components(g, keep))
-                kept = kept and len(connected_components(g, keep - {v})) > with_v
+                kept = kept and len(connected_components(g, keep ^ 1 << v)) > with_v
             if kept:
                 rest, label = induced_subgraph(g, allv - set(t))
                 old = {new: o for o, new in label.items()}
-                parts = [frozenset(old[u] for u in p) for p in connected_components(rest)]
+                parts = [frozenset(old[u] for u in bits(p)) for p in connected_components(rest)]
                 out.append((frozenset(t), tuple(parts)))
     return out
 

@@ -12,6 +12,7 @@ from corbel.errors import CapError, InputError, ParseError
 from corbel.graphs import (
     CONNECTED_GRAPH_COUNTS,
     ENUMERATION_CAP,
+    bits,
     canonical_form,
     connected_components,
     disjoint_union,
@@ -25,9 +26,11 @@ from corbel.graphs import (
     is_connected,
     is_free_vertex,
     ncomponents,
+    non_free_vertices,
     to_graph6,
     to_json_dict,
 )
+from corbel.invariants import free_vertex_counts, invariant_report, vertex_connectivity
 
 
 def test_named_graphs():
@@ -100,8 +103,7 @@ def test_json_round_trip():
 def test_components_and_connectivity():
     g = disjoint_union(graph_from_name("p3"), graph_from_name("k2"))
     assert g.n == 5
-    comps = connected_components(g)
-    assert sorted(sorted(c) for c in comps) == [[1, 2, 3], [4, 5]]
+    assert connected_components(g) == [0b1110, 0b110000]
     assert ncomponents(g) == 2
     assert not is_connected(g)
     assert is_connected(graph_from_name("c5"))
@@ -270,5 +272,91 @@ def test_components_within_match_the_induced_subgraph():
                 keep = set(g.vertices()) - set(dropped)
                 sub, label = induced_subgraph(g, keep)
                 back = {new: old for old, new in label.items()}
-                want = [frozenset(back[v] for v in c) for c in connected_components(sub)]
-                assert connected_components(g, keep) == want
+                want = [sum(1 << back[v] for v in bits(c)) for c in connected_components(sub)]
+                assert connected_components(g, sum(1 << v for v in keep)) == want
+
+
+def _reference_components(nbrs, within):
+    """Vertex sets of the components induced on ``within``, by lowest member."""
+    parts, seen = [], set()
+    for start in sorted(within):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in nbrs[stack.pop()] & (within - comp):
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        parts.append(comp)
+    return parts
+
+
+def _reference_eccentricity(nbrs, src):
+    dist, frontier = {src: 0}, [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in nbrs[u] - dist.keys():
+                dist[w] = dist[u] + 1
+                nxt.append(w)
+        frontier = nxt
+    return max(dist.values())
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))
+            if n >= 2 else st.just(set()),
+        )
+    )
+)
+def test_graph_layer_matches_set_references(data):
+    # every reference below is built from g.edges() alone, on Python sets
+    n, edges = data
+    g = from_edge_list(n, edges)
+    assert g.edges() == sorted(edges)
+    nbrs = {v: set() for v in g.vertices()}
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    allv = set(g.vertices())
+
+    assert len(g.adj) == n + 1 and g.adj[0] == 0
+    for u in g.vertices():
+        assert g.adj[u] == sum(1 << w for w in nbrs[u])
+        assert not g.adj[u] & 1 and g.degree(u) == len(nbrs[u])
+        for w in g.vertices():
+            assert (g.adj[u] >> w & 1) == (g.adj[w] >> u & 1) == g.has_edge(u, w)
+
+    comps = _reference_components(nbrs, allv)
+    assert [set(bits(c)) for c in connected_components(g)] == comps
+    report = invariant_report(g)
+    assert report.c == len(comps)
+    assert report.isolated == sum(1 for v in allv if not nbrs[v])
+    assert report.diam_sum == sum(max(_reference_eccentricity(nbrs, s) for s in c) for c in comps)
+
+    free = {v for v in allv if all(b in nbrs[a] for a, b in itertools.combinations(nbrs[v], 2))}
+    assert free_vertex_counts(g) == (len(free), n - len(free), free, allv - free)
+    assert non_free_vertices(g) == allv - free
+    for v in g.vertices():
+        assert is_free_vertex(g, v) == (v in free)
+        completed = sorted(set(edges) | set(itertools.combinations(sorted(nbrs[v]), 2)))
+        assert g_v_operation(g, v).edges() == completed
+        assert g_v_operation(g, v) == from_edge_list(n, completed)
+
+    if len(comps) == 1:
+        if g.is_complete():
+            want = (n - 1, True)
+        else:
+            want = next(
+                (k, False)
+                for k in range(1, n)
+                for cut in itertools.combinations(sorted(allv), k)
+                if len(_reference_components(nbrs, allv - set(cut))) > 1
+            )
+        assert vertex_connectivity(g) == want
+        assert report.kappa == want[0]

@@ -17,7 +17,6 @@ from corbel.groebner import (
     GROEBNER_CAP,
     MonomialIdealSF,
     _Packing,
-    _adjacency,
     _update,
     _walk,
     buchberger_oracle,
@@ -29,13 +28,12 @@ DIAMOND = from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
 
 
 def path_count(g):
-    adj = _adjacency(g)
-    return sum(len(_walk(adj, g.n, i)) for i in g.vertices())
+    return sum(len(_walk(g.adj, g.n, i)) for i in g.vertices())
 
 
 def path_masks(g, i, j):
     """Vertex masks of the admissible paths from i to j, as the walk finds them."""
-    return sorted(used for end, used, _ in _walk(_adjacency(g), g.n, i) if end == j)
+    return sorted(used for end, used, _ in _walk(g.adj, g.n, i) if end == j)
 
 
 def vertex_mask(vertices):

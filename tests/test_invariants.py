@@ -124,7 +124,7 @@ def test_hypergraph_bound_against_brute_force():
         gens = ideal.generators
         masks = [sum(1 << v for v in e) for e in gens]
         val, idx = _brute_induced_matching(masks, [len(e) - 1 for e in gens])
-        expected = (val, tuple(gens[k] for k in idx))
+        expected = (val, tuple(masks[k] for k in idx))
         assert hypergraph_induced_matching_bound(ideal) == expected, ideal
 
 
