@@ -304,22 +304,22 @@ def betti_table(ideal: MonomialIdealSF) -> BettiTable:
 
 def sr_dimension(ideal: MonomialIdealSF) -> int:
     """Krull dimension of R/I: the largest face of the Stanley-Reisner complex."""
-    gens = sorted(ideal.generators, key=len)
+    gens = sorted(ideal.masks, key=int.bit_count)
     nv = ideal.n_vars
     best = 0
 
-    def dfs(v: int, chosen: frozenset[int], size: int):
+    def dfs(v: int, chosen: int, size: int):
         nonlocal best
         if size > best:
             best = size
         if v > nv or size + (nv - v + 1) <= best:
             return
-        cand = chosen | {v}
-        if not any(g <= cand for g in gens):
+        cand = chosen | 1 << v
+        if all(g & ~cand for g in gens):
             dfs(v + 1, cand, size + 1)
         dfs(v + 1, chosen, size)
 
-    dfs(1, frozenset(), 0)
+    dfs(1, 0, 0)
     return best
 
 

@@ -27,6 +27,7 @@ from .constructions import (
 from .graphs import (
     CONNECTED_GRAPH_COUNTS,
     Graph,
+    bits,
     disjoint_union,
     enumerate_connected_graphs,
     from_json_dict,
@@ -179,7 +180,7 @@ def _graphs_and_labeled_whiskers(max_n: int) -> tuple[str, list[dict]]:
 def _non_free_vertex_choices(max_n: int) -> tuple[str, list[dict]]:
     payloads = []
     for g in enumerate_connected_graphs(max_n):
-        for v in sorted(non_free_vertices(g)):
+        for v in bits(non_free_vertices(g)):
             payloads.append({"id": f"{to_graph6(g)}@v{v}", "graph": to_json_dict(g), "v": v})
     return (
         f"connected graphs on at most {max_n} vertices, each non-free vertex",
@@ -339,15 +340,15 @@ def _exact_sequence(payload: dict) -> dict:
 def _iv_drop(payload: dict) -> dict:
     g = from_json_dict(payload["graph"])
     nonfree = non_free_vertices(g)
-    iv0 = len(nonfree)
+    iv0 = nonfree.bit_count()
     worst = -1
-    for v in nonfree:
+    for v in bits(nonfree):
         triple = decomposition.decompose_at_vertex(g, v)
         worst = max(
             worst,
-            len(non_free_vertices(triple.completed)),
-            len(non_free_vertices(triple.deleted)),
-            len(non_free_vertices(triple.completed_deleted)),
+            non_free_vertices(triple.completed).bit_count(),
+            non_free_vertices(triple.deleted).bit_count(),
+            non_free_vertices(triple.completed_deleted).bit_count(),
         )
     if worst < 0:
         return _record(payload["id"], iv0, None, True)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse problem,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -287,21 +288,18 @@ def cmd_verify(args) -> int:
 
 
 def _enumerate_specs(args):
+    """The specs to stream, with every option checked before the first is made."""
     max_base = args.max_base if args.max_base is not None else 3
+    bases = enumerate_connected_graphs(max_base)
     if args.cls == "g1":
-        for g in enumerate_connected_graphs(max_base):
-            for s in covering_sets(g):
-                yield whisker_on_set(g, s)[0]
-        return
+        return (whisker_on_set(g, s)[0] for g in bases for s in covering_sets(g))
     attachments = args.attachments if args.attachments is not None else ",".join(ATTACHMENT_POOL)
     names = tuple(x.strip() for x in attachments.split(",") if x.strip())
     if not names or len(set(names)) != len(names):
         raise UsageError(f"--attachments needs distinct graph names, got {attachments!r}")
     max_total = args.max_total if args.max_total is not None else 8
     pool = [(name, graph_from_name(name)) for name in names]
-    for g in enumerate_connected_graphs(max_base):
-        for _, spec in covered_coronas(g, pool, max_total):
-            yield spec
+    return (spec for g in bases for _, spec in covered_coronas(g, pool, max_total))
 
 
 def cmd_enumerate(args) -> int:
@@ -310,9 +308,12 @@ def cmd_enumerate(args) -> int:
     for flag, size in (("--max-base", args.max_base), ("--max-total", args.max_total)):
         if size is not None and size < 1:
             raise UsageError(f"{flag} must be at least 1, got {size}")
-    lines = [json.dumps(spec.to_json_dict(), sort_keys=True) for spec in _enumerate_specs(args)]
-    text = "".join(line + "\n" for line in lines)
-    _emit(text, args.out)
+    specs = _enumerate_specs(args)
+    # each line is written as it is made, so a long stream shows its head early
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        for spec in specs:
+            fh.write(json.dumps(spec.to_json_dict(), sort_keys=True) + "\n")
     return 0
 
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, from_edge_list, non_free_vertices
+from .graphs import Graph, bits, from_edge_list, non_free_vertices
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,10 @@ def covering_sets(g: Graph):
     sets of one size follow ``itertools.combinations`` order on the free ones.
     """
     required = non_free_vertices(g)
-    optional = sorted(set(g.vertices()) - required)
+    optional = [1 << v for v in g.vertices() if not required >> v & 1]
     for k in range(len(optional) + 1):
         for extra in itertools.combinations(optional, k):
-            yield tuple(sorted(required | set(extra)))
+            yield tuple(bits(required | sum(extra)))
 
 
 def covered_coronas(base: Graph, pool, max_total: int):
@@ -156,8 +156,8 @@ def class_membership(spec: GenCoronaSpec, depth_of_h=None, m: int = 2) -> ClassM
     """
     if m < 2:
         raise InputError("m must be at least 2")
-    uncovered = sorted(non_free_vertices(spec.base) - set(spec.attach_set))
-    witness = uncovered[0] if uncovered else None
+    uncovered = non_free_vertices(spec.base) & ~sum(1 << v for v in spec.attach_set)
+    witness = bits(uncovered)[0] if uncovered else None
     in_g2 = witness is None
     in_g1 = in_g2 and all(h.n == 1 and h.num_edges() == 0 for h in spec.attachments)
     in_gprime: bool | None = None

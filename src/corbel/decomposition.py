@@ -35,10 +35,10 @@ CUTSET_CAP = 12
 
 @dataclass(frozen=True)
 class Cutset:
-    """A cutset with the components it leaves behind."""
+    """A cutset with the components it leaves behind, all as vertex masks."""
 
-    vertices: frozenset[int]
-    parts: tuple[frozenset[int], ...]
+    vertices: int
+    parts: tuple[int, ...]
 
     @property
     def c(self) -> int:
@@ -46,8 +46,8 @@ class Cutset:
 
     def to_json_dict(self) -> dict:
         return {
-            "T": sorted(self.vertices),
-            "components": [sorted(p) for p in self.parts],
+            "T": bits(self.vertices),
+            "components": [bits(p) for p in self.parts],
         }
 
 
@@ -56,12 +56,13 @@ def enumerate_cutsets(g: Graph) -> list[Cutset]:
     if g.n > CUTSET_CAP:
         raise CapError("cutset enumeration capped", size=g.n, cap=CUTSET_CAP)
     full = (2 << g.n) - 2
+    nbrs = {1 << v: g.adj[v] for v in g.vertices()}
     out = []
     for size in range(g.n + 1):
-        for t in itertools.combinations(g.vertices(), size):
-            parts = connected_components(g, full ^ sum(1 << v for v in t))
-            if all(sum(1 for p in parts if g.adj[v] & p) >= 2 for v in t):
-                out.append(Cutset(frozenset(t), tuple(frozenset(bits(p)) for p in parts)))
+        for t in itertools.combinations(nbrs, size):
+            parts = connected_components(g, full ^ sum(t))
+            if all(sum(1 for p in parts if nbrs[b] & p) >= 2 for b in t):
+                out.append(Cutset(sum(t), tuple(parts)))
     return out
 
 
@@ -70,7 +71,6 @@ class MinimalPrime:
     """Minimal prime attached to a cutset, with its dimension."""
 
     cutset: Cutset
-    m: int
     dim: int
 
     def to_json_dict(self) -> dict:
@@ -83,7 +83,7 @@ def minimal_primes(g: Graph, m: int = 2) -> list[MinimalPrime]:
     if m < 2:
         raise InputError("m must be at least 2")
     return [
-        MinimalPrime(cs, m, (g.n - len(cs.vertices)) + (m - 1) * cs.c)
+        MinimalPrime(cs, (g.n - cs.vertices.bit_count()) + (m - 1) * cs.c)
         for cs in enumerate_cutsets(g)
     ]
 
@@ -135,10 +135,8 @@ def decompose_at_vertex(g: Graph, v: int) -> DecompositionTriple:
     if is_free_vertex(g, v):
         raise InputError(f"vertex {v} is free; the decomposition needs a non-free vertex")
     gv = g_v_operation(g, v)
-    rest = set(g.vertices()) - {v}
-    minus, _ = induced_subgraph(g, rest)
-    gv_minus, _ = induced_subgraph(gv, rest)
-    return DecompositionTriple(gv, minus, gv_minus)
+    rest = ((2 << g.n) - 2) ^ 1 << v
+    return DecompositionTriple(gv, induced_subgraph(g, rest), induced_subgraph(gv, rest))
 
 
 class CmVerdict(NamedTuple):

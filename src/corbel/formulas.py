@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 from .constructions import GenCoronaSpec, class_membership
 from .errors import InputError
-from .graphs import Graph, connected_components, is_connected, ncomponents
+from .graphs import Graph, connected_components, is_connected, ncomponents, non_free_vertices
 from .invariants import (
     _component_diameter,
-    free_vertex_counts,
     induced_matching_number,
     isolated_count,
     vertex_connectivity,
@@ -48,7 +47,7 @@ def _f_d_c(g: Graph) -> tuple[int, int, int]:
     """f, d and c as ``invariant_report`` computes them, without its capped searches."""
     comps = connected_components(g)
     d = isolated_count(g) + sum(_component_diameter(g, comp) for comp in comps)
-    return free_vertex_counts(g)[0], d, len(comps)
+    return g.n - non_free_vertices(g).bit_count(), d, len(comps)
 
 
 def depth_lower_bound_general(g: Graph, m: int = 2) -> BoundReport:

@@ -44,8 +44,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as (u, v) pairs with u < v, sorted."""
-        # -(2 << u) keeps the bits above u
-        return [(u, v) for u in self.vertices() for v in bits(self.adj[u] & -(2 << u))]
+        # the shifts keep the bits above u at the cost of adj[u] alone
+        return [(u, v) for u in self.vertices() for v in bits(self.adj[u] >> u + 1 << u + 1)]
 
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -185,17 +185,16 @@ def to_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # elementary operations
 
-def induced_subgraph(g: Graph, keep) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on ``keep``, relabeled 1..|keep| order-preservingly.
-
-    Returns the new graph and the old-to-new label map.
-    """
-    keep = sorted(set(keep))
-    for v in keep:
-        g._check_vertex(v)
-    label = {old: new for new, old in enumerate(keep, start=1)}
-    edges = [(label[u], label[v]) for u, v in g.edges() if u in label and v in label]
-    return from_edge_list(len(keep), edges), label
+def induced_subgraph(g: Graph, keep: int) -> Graph:
+    """Induced subgraph on the vertex mask ``keep``, relabeled 1..|keep| in label order."""
+    full = (2 << g.n) - 2
+    # a negative mask, like one with bits outside 1..n, is not inside full
+    if not (type(keep) is int and keep | full == full):
+        raise InputError(f"vertex mask {keep!r} is not a set of vertices in 1..{g.n}")
+    old = bits(keep)
+    label = {v: new for new, v in enumerate(old, start=1)}
+    adj = [sum(1 << label[w] for w in bits(g.adj[v] & keep)) for v in old]
+    return Graph(len(old), (0, *adj))
 
 
 def g_v_operation(g: Graph, v: int) -> Graph:
@@ -215,9 +214,9 @@ def is_free_vertex(g: Graph, v: int) -> bool:
     return all(nbrs & ~g.adj[w] == 1 << w for w in bits(nbrs))
 
 
-def non_free_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose neighborhood is not a clique."""
-    return frozenset(v for v in g.vertices() if not is_free_vertex(g, v))
+def non_free_vertices(g: Graph) -> int:
+    """Vertex mask of the vertices whose neighborhood is not a clique."""
+    return sum(1 << v for v in g.vertices() if not is_free_vertex(g, v))
 
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:

@@ -45,13 +45,6 @@ def isolated_count(g: Graph) -> int:
     return g.adj[1:].count(0)
 
 
-def free_vertex_counts(g: Graph) -> tuple[int, int, frozenset[int], frozenset[int]]:
-    """(f, iv, free set, non-free set); f + iv = n."""
-    nonfree = non_free_vertices(g)
-    free = frozenset(g.vertices()) - nonfree
-    return len(free), len(nonfree), free, nonfree
-
-
 def _induced_matching(supports: tuple[int, ...], weights: list[int]) -> tuple[int, tuple[int, ...]]:
     """Best total weight of an induced matching of the supports, and its indices.
 
@@ -161,11 +154,12 @@ class InvariantReport:
 
 
 def invariant_report(g: Graph) -> InvariantReport:
+    # the capped search runs first, so an oversized graph fails before any other
+    im, _ = induced_matching_number(g)
     comps = connected_components(g)
     iso = isolated_count(g)
     diam_sum = sum(_component_diameter(g, c) for c in comps)
-    f, iv, _, _ = free_vertex_counts(g)
-    im, _ = induced_matching_number(g)
+    iv = non_free_vertices(g).bit_count()
     gap_free = g.num_edges() > 0 and im == 1
     if g.n > 0 and len(comps) == 1:
         kappa = vertex_connectivity(g)
@@ -178,7 +172,7 @@ def invariant_report(g: Graph) -> InvariantReport:
         isolated=iso,
         diam_sum=diam_sum,
         d=iso + diam_sum,
-        f=f,
+        f=g.n - iv,
         iv=iv,
         im=im,
         gap_free=gap_free,

@@ -28,7 +28,7 @@ from corbel.betti import sr_dimension
 from corbel.checks import CHECKS
 from corbel.cli import g2_universe
 from corbel.decomposition import enumerate_cutsets
-from corbel.graphs import connected_components, induced_subgraph
+from corbel.graphs import bits, connected_components, induced_subgraph
 from corbel.groebner import initial_ideal
 
 KNOWN_DEPTH_BOUND_FAILURE = "k2|S=1,2|H=p3,p3"
@@ -51,14 +51,15 @@ def _cutset_depth_cap(g) -> int:
     graph (every member of T rejoins components when put back), so only
     genuine minimal primes P_T count.  No Betti numbers are involved.
     """
+    full = (2 << g.n) - 2
+
     def parts(t):
-        rest, _ = induced_subgraph(g, set(g.vertices()) - t)
-        return len(connected_components(rest))
+        return len(connected_components(induced_subgraph(g, full ^ t)))
 
     return min(
-        g.n - len(cs.vertices) + parts(cs.vertices)
+        g.n - cs.vertices.bit_count() + parts(cs.vertices)
         for cs in enumerate_cutsets(g)
-        if all(parts(cs.vertices - {v}) < parts(cs.vertices) for v in cs.vertices)
+        if all(parts(cs.vertices ^ 1 << v) < parts(cs.vertices) for v in bits(cs.vertices))
     )
 
 

@@ -4,6 +4,11 @@ import io
 import json
 import contextlib
 import hashlib
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +181,52 @@ def test_oracle_cap_is_exit_three(tmp_path):
     assert err == "error: betti table capped (size 26 > cap 20)\n"
 
 
+# corbel in a child process under a 1 GB address-space limit, so a run that
+# builds something huge fails with MemoryError instead of swapping
+_LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from corbel.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+LIMITED_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+)
+
+
+def limited_cli(*argv) -> list[str]:
+    return [sys.executable, "-c", _LIMITED, *argv]
+
+
+SIX_EDGES = [[i, i + 1] for i in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "flag,doc,extra,size",
+    [
+        ("--graph", {"n": 10**6, "edges": SIX_EDGES}, ("--oracle",), 10**6),
+        ("--graph", {"n": 4000, "edges": [[i, i + 1] for i in range(1, 4000)]}, (), 4000),
+        (
+            "--spec",
+            {"base": {"n": 10**6, "edges": SIX_EDGES}, "S": [1], "H": [{"n": 1, "edges": []}]},
+            (),
+            10**6 + 1,
+        ),
+    ],
+    ids=["graph-1e6-oracle", "graph-p4000", "spec-1e6-base"],
+)
+def test_oversized_analyze_exits_three_before_any_graph_search(tmp_path, flag, doc, extra, size):
+    # every search over the graph takes time or memory in n; the capped
+    # induced matching search refuses the graph first
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = limited_cli("analyze", flag, str(path), *extra)
+    done = subprocess.run(argv, env=LIMITED_ENV, capture_output=True, text=True, timeout=3)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == f"error: induced matching search capped (size {size} > cap 16)\n"
+
+
 def test_verify_pass_and_fail_codes():
     rc, out, err = run_cli("verify", "thm2.4")
     assert rc == 0
@@ -327,6 +378,23 @@ def test_enumerate_streams_specs():
     assert len(out.strip().splitlines()) == 6
 
 
+def test_enumerate_writes_its_first_line_before_the_stream_ends():
+    # the whole stream is millions of lines; the head must not wait for them
+    argv = limited_cli("enumerate", "--class", "g2", "--max-base", "7", "--max-total", "20")
+    proc = subprocess.Popen(
+        argv, env=LIMITED_ENV, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 5)
+        assert ready, "no output within 5 s"
+        first = json.loads(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    assert first == {"base": {"n": 1, "edges": []}, "S": [], "H": []}
+
+
 def test_enumerate_requires_class():
     with pytest.raises(SystemExit):
         main(["enumerate"])
@@ -353,7 +421,11 @@ def test_enumerate_output_is_unchanged_by_explicit_defaults():
         ("--class", "g2", "--attachments", "k1,k1"),
     ],
 )
-def test_enumerate_rejects_bad_options(argv):
+def test_enumerate_rejects_bad_options(argv, tmp_path):
     rc, out, err = run_cli("enumerate", *argv)
     assert (rc, out) == (2, "")
     assert err.startswith("error: ")
+    # a rejected run creates no --out file either
+    path = tmp_path / "specs.jsonl"
+    assert run_cli("enumerate", *argv, "--out", str(path))[0] == 2
+    assert not path.exists()

@@ -57,9 +57,9 @@ def test_cone_of_p3_is_diamond():
 
 
 def test_non_free_vertices():
-    assert non_free_vertices(graph_from_name("p3")) == frozenset({2})
-    assert non_free_vertices(graph_from_name("k3")) == frozenset()
-    assert non_free_vertices(graph_from_name("c4")) == frozenset({1, 2, 3, 4})
+    assert non_free_vertices(graph_from_name("p3")) == 0b100
+    assert non_free_vertices(graph_from_name("k3")) == 0
+    assert non_free_vertices(graph_from_name("c4")) == 0b11110
 
 
 def test_membership_full_whisker():

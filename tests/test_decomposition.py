@@ -30,7 +30,7 @@ from corbel.decomposition import (
 
 
 def cutset_sets(g):
-    return sorted(sorted(c.vertices) for c in enumerate_cutsets(g))
+    return sorted(bits(c.vertices) for c in enumerate_cutsets(g))
 
 
 def test_cutsets_small_graphs():
@@ -41,9 +41,9 @@ def test_cutsets_small_graphs():
 
 
 def test_cutset_parts():
-    cs = {frozenset(c.vertices): c for c in enumerate_cutsets(graph_from_name("p4"))}
-    parts = cs[frozenset({2})].parts
-    assert sorted(sorted(p) for p in parts) == [[1], [3, 4]]
+    cs = {c.vertices: c for c in enumerate_cutsets(graph_from_name("p4"))}
+    assert cs[1 << 2].parts == (0b10, 0b11000)
+    assert cs[1 << 2].to_json_dict() == {"T": [2], "components": [[1], [3, 4]]}
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def comparison_graphs():
 
 
 def reference_cutsets(g):
-    """(T, parts) for each T whose members v are cut vertices of G - (T - v)."""
+    """(T, parts) as vertex masks for each T whose members v are cut vertices of G - (T - v)."""
     allv = set(g.vertices())
     out = []
     for size in range(g.n + 1):
@@ -66,10 +66,10 @@ def reference_cutsets(g):
                 with_v = len(connected_components(g, keep))
                 kept = kept and len(connected_components(g, keep ^ 1 << v)) > with_v
             if kept:
-                rest, label = induced_subgraph(g, allv - set(t))
-                old = {new: o for o, new in label.items()}
-                parts = [frozenset(old[u] for u in bits(p)) for p in connected_components(rest)]
-                out.append((frozenset(t), tuple(parts)))
+                old = sorted(allv - set(t))
+                rest = induced_subgraph(g, sum(1 << u for u in old))
+                parts = [sum(1 << old[u - 1] for u in bits(p)) for p in connected_components(rest)]
+                out.append((sum(1 << v for v in t), tuple(parts)))
     return out
 
 
@@ -85,7 +85,7 @@ def test_unmixed_at_two_is_the_component_count_criterion(comparison_graphs):
     # when c(T) = |T| + 1
     mixed = 0
     for g in comparison_graphs:
-        bad = [t for t, parts in reference_cutsets(g) if len(parts) != len(t) + 1]
+        bad = [t for t, parts in reference_cutsets(g) if len(parts) != t.bit_count() + 1]
         ok, witness = is_unmixed(g, 2)
         assert ok == (not bad), to_graph6(g)
         if bad:
@@ -98,7 +98,7 @@ def test_unmixed_at_two_is_the_component_count_criterion(comparison_graphs):
 
 def test_minimal_primes_p4():
     primes = minimal_primes(graph_from_name("p4"))
-    assert [(sorted(p.cutset.vertices), p.dim) for p in primes] == [
+    assert [(bits(p.cutset.vertices), p.dim) for p in primes] == [
         ([], 5),
         ([2], 5),
         ([3], 5),
@@ -110,7 +110,7 @@ def test_unmixedness():
     assert ok
     ok, witness = is_unmixed(graph_from_name("c4"))
     assert not ok
-    assert sorted(witness.vertices) in ([1, 3], [2, 4])
+    assert bits(witness.vertices) in ([1, 3], [2, 4])
 
 
 def test_dimension_values():
@@ -121,7 +121,7 @@ def test_dimension_values():
     _, comp = whisker(graph_from_name("p3"))
     res = dimension(comp)
     assert res.value == 8
-    assert sorted(res.witness.vertices) == [2]
+    assert bits(res.witness.vertices) == [2]
     ok, _ = is_unmixed(comp)
     assert not ok
 

@@ -95,6 +95,18 @@ def test_depth_equality_gprime():
         depth_equality_gprime(spec, 2, depth_of_h=(3,))
 
 
+def test_bounds_at_three_rows_meet_the_dimension_of_a_cm_ideal():
+    # the ideal of a disjoint union of complete graphs is Cohen-Macaulay, and
+    # each K2 has depth m + 1 = 4 at m = 3 (Bruns-Vetter), so depth = dim = 8
+    two_k2 = disjoint_union(K2, K2)
+    assert dimension(two_k2, 3).value == 8
+    assert depth_lower_bound_general(two_k2, 3).value == 8
+    # W(2K1) is 2K2 again, labeled 13|24, now read as a whisker in G'
+    spec, composite = whisker(graph_from_name("2k1"))
+    assert composite.edges() == [(1, 3), (2, 4)]
+    assert depth_equality_gprime(spec, 3).value == 8
+
+
 def test_depth_lower_bound_g2_binom():
     wp3, _ = whisker(P3)
     assert depth_lower_bound_g2_binom(wp3, (2, 2, 2)).value == 7

@@ -30,7 +30,7 @@ from corbel.graphs import (
     to_graph6,
     to_json_dict,
 )
-from corbel.invariants import free_vertex_counts, invariant_report, vertex_connectivity
+from corbel.invariants import invariant_report, vertex_connectivity
 
 
 def test_named_graphs():
@@ -95,6 +95,19 @@ def test_graph6_round_trip(data):
     assert set(back.edges()) == set(g.edges())
 
 
+@pytest.mark.parametrize("n,head", [(63, "~??~"), (64, "~?@?"), (100, "~?@c")])
+def test_graph6_round_trip_past_62_vertices(n, head):
+    # past 62 vertices the size field is "~" and three 6-bit groups
+    rng = random.Random(n)
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    g = from_edge_list(n, [e for e in pairs if rng.random() < 0.5])
+    code = to_graph6(g)
+    assert code[:4] == head
+    assert len(code) == 4 + (n * (n - 1) // 2 + 5) // 6
+    assert from_graph6(code) == g
+    assert from_graph6(code + "\n") == g
+
+
 def test_json_round_trip():
     g = graph_from_name("c4")
     assert from_json_dict(to_json_dict(g)) == g
@@ -121,10 +134,15 @@ def test_free_vertices():
 
 def test_induced_subgraph_relabels():
     p4 = graph_from_name("p4")
-    sub, vmap = induced_subgraph(p4, {2, 3, 4})
+    sub = induced_subgraph(p4, 0b11100)
     assert sub.n == 3
-    assert vmap == {2: 1, 3: 2, 4: 3}
-    assert sorted(tuple(sorted(e)) for e in sub.edges()) == [(1, 2), (2, 3)]
+    assert sub.edges() == [(1, 2), (2, 3)]
+    assert induced_subgraph(graph_from_name("c4"), 0b11010).edges() == [(1, 3), (2, 3)]
+    assert induced_subgraph(p4, 0) == from_edge_list(0, [])
+    # bit 0, a bit above n, a negative mask and a non-int are not vertex masks
+    for bad in (0b1, 0b100000, -2, True, {2, 3}):
+        with pytest.raises(InputError):
+            induced_subgraph(p4, bad)
 
 
 def brute_force_canonical_form(g):
@@ -269,10 +287,15 @@ def test_components_within_match_the_induced_subgraph():
     for g in enumerate_connected_graphs(6):
         for k in (1, 2):
             for dropped in itertools.combinations(g.vertices(), k):
-                keep = set(g.vertices()) - set(dropped)
-                sub, label = induced_subgraph(g, keep)
-                back = {new: old for old, new in label.items()}
-                want = [sum(1 << back[v] for v in bits(c)) for c in connected_components(sub)]
+                keep = sorted(set(g.vertices()) - set(dropped))
+                sub = induced_subgraph(g, sum(1 << v for v in keep))
+                # new label i is keep[i - 1], the i-th kept vertex in label order
+                assert sub.edges() == [
+                    (i, j)
+                    for i, j in itertools.combinations(range(1, len(keep) + 1), 2)
+                    if g.has_edge(keep[i - 1], keep[j - 1])
+                ]
+                want = [sum(1 << keep[v - 1] for v in bits(c)) for c in connected_components(sub)]
                 assert connected_components(g, sum(1 << v for v in keep)) == want
 
 
@@ -340,8 +363,8 @@ def test_graph_layer_matches_set_references(data):
     assert report.diam_sum == sum(max(_reference_eccentricity(nbrs, s) for s in c) for c in comps)
 
     free = {v for v in allv if all(b in nbrs[a] for a, b in itertools.combinations(nbrs[v], 2))}
-    assert free_vertex_counts(g) == (len(free), n - len(free), free, allv - free)
-    assert non_free_vertices(g) == allv - free
+    assert non_free_vertices(g) == sum(1 << v for v in allv - free)
+    assert (report.f, report.iv) == (len(free), n - len(free))
     for v in g.vertices():
         assert is_free_vertex(g, v) == (v in free)
         completed = sorted(set(edges) | set(itertools.combinations(sorted(nbrs[v]), 2)))

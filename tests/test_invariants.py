@@ -12,6 +12,7 @@ from corbel.graphs import (
     enumerate_connected_graphs,
     from_edge_list,
     graph_from_name,
+    non_free_vertices,
     to_graph6,
 )
 from corbel.groebner import MonomialIdealSF, initial_ideal
@@ -19,7 +20,6 @@ from corbel.constructions import whisker_matching_labeling
 from corbel.invariants import (
     CONNECTIVITY_CAP,
     MATCHING_CAP,
-    free_vertex_counts,
     hypergraph_induced_matching_bound,
     induced_matching_number,
     invariant_report,
@@ -55,14 +55,13 @@ def test_disconnected_report():
 
 
 def test_free_vertex_counts():
-    f, iv, free, nonfree = free_vertex_counts(graph_from_name("p4"))
-    assert (f, iv) == (2, 2)
-    assert free == frozenset({1, 4})
-    assert nonfree == frozenset({2, 3})
-    f, iv, _, _ = free_vertex_counts(graph_from_name("k3"))
-    assert (f, iv) == (3, 0)
-    f, iv, _, _ = free_vertex_counts(graph_from_name("c4"))
-    assert (f, iv) == (0, 4)
+    rep = invariant_report(graph_from_name("p4"))
+    assert (rep.f, rep.iv) == (2, 2)
+    assert non_free_vertices(graph_from_name("p4")) == 0b1100
+    rep = invariant_report(graph_from_name("k3"))
+    assert (rep.f, rep.iv) == (3, 0)
+    rep = invariant_report(graph_from_name("c4"))
+    assert (rep.f, rep.iv) == (0, 4)
 
 
 def test_induced_matching():
