@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -137,6 +136,7 @@ def _load_graph_arg(args) -> tuple[Graph, GenCoronaSpec | None]:
         return from_graph6(args.graph6), None
     with open(args.spec, encoding="utf-8") as fh:
         spec = spec_from_json_dict(json.load(fh))
+    invariants.check_matching_cap(spec.total_vertices())  # refuse before the composite is built
     return spec.composite(), spec
 
 
@@ -148,8 +148,6 @@ def analyze_report(
     with_decomposition: bool = False,
 ) -> dict:
     """Full analysis record for one graph or construction."""
-    if m < 2:
-        raise InputError("m must be at least 2")
     rep = invariants.invariant_report(g)
     report: dict = {
         "m": m,
@@ -230,15 +228,24 @@ def _flatten_for_csv(report: dict) -> dict:
     return row
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    # the --out file, or stdout, flushed here since a pipe buffers it; a closed pipe ends it quietly
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:  # the rest goes to the null device, so the flush at exit passes
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
 
 
 def cmd_analyze(args) -> int:
+    if args.m < 2:  # checked first, so every input form gives the same exit code
+        raise InputError("m must be at least 2")
     g, spec = _load_graph_arg(args)
     report = analyze_report(
         g,
@@ -247,15 +254,14 @@ def cmd_analyze(args) -> int:
         with_oracle=args.oracle,
         with_decomposition=args.decompose,
     )
-    if args.format == "csv":
-        row = _flatten_for_csv(report)
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    with _output(args.out) as fh:
+        if args.format == "csv":
+            row = _flatten_for_csv(report)
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow(row)
+        else:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -268,17 +274,15 @@ def cmd_verify(args) -> int:
     if args.max_total is not None:
         opts["max_total"] = args.max_total
     run = run_verification(args.tag, jobs=args.jobs, **opts)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["id", "formula", "oracle", "verdict"])
-        for rec in run.records:
-            writer.writerow(
-                [rec["id"], json.dumps(rec["formula"]), json.dumps(rec["oracle"]), rec["verdict"]]
-            )
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(json.dumps(run.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out)
+    with _output(args.out) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(["id", "formula", "oracle", "verdict"])
+            for rec in run.records:
+                formula, oracle = json.dumps(rec["formula"]), json.dumps(rec["oracle"])
+                writer.writerow([rec["id"], formula, oracle, rec["verdict"]])
+        else:
+            fh.write(json.dumps(run.to_json_dict(), indent=2, sort_keys=True) + "\n")
     print(
         f"{run.tag}: {run.passed} passed, {run.failed} failed "
         f"({run.wall_time_s:.2f}s, {len(run.records)} instances)",
@@ -310,8 +314,7 @@ def cmd_enumerate(args) -> int:
             raise UsageError(f"{flag} must be at least 1, got {size}")
     specs = _enumerate_specs(args)
     # each line is written as it is made, so a long stream shows its head early
-    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
-    with out as fh:
+    with _output(args.out) as fh:
         for spec in specs:
             fh.write(json.dumps(spec.to_json_dict(), sort_keys=True) + "\n")
     return 0
@@ -367,7 +370,9 @@ def main(argv=None) -> int:
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, InputError, ParseError, OSError, json.JSONDecodeError) as exc:
+    except (
+        UsageError, InputError, ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,18 +42,14 @@ class GenCoronaSpec:
     def total_vertices(self) -> int:
         return self.base.n + sum(h.n for h in self.attachments)
 
-    def block_offset(self, i: int) -> int:
-        """Label offset of attachment block i: its vertices are offset+1..offset+|H_i|."""
-        return self.base.n + sum(h.n for h in self.attachments[:i])
-
     def composite(self) -> Graph:
         edges = list(self.base.edges())
-        for i, h in enumerate(self.attachments):
-            off = self.block_offset(i)
-            v = self.attach_set[i]
+        off = self.base.n  # block i holds labels off+1..off+|H_i|
+        for v, h in zip(self.attach_set, self.attachments):
             edges.extend((a + off, b + off) for a, b in h.edges())
             edges.extend((v, w + off) for w in h.vertices())
-        return from_edge_list(self.total_vertices(), edges)
+            off += h.n
+        return from_edge_list(off, edges)
 
     def to_json_dict(self) -> dict:
         from .graphs import to_json_dict
@@ -136,6 +132,8 @@ class ClassMembership:
     witness: int | None
 
     def to_json_dict(self) -> dict:
+        from .graphs import to_json_dict
+
         return {
             "in_G1": self.in_g1,
             "in_G2": self.in_g2,

@@ -1,6 +1,6 @@
 """Lex Groebner bases of binomial edge ideals, two independent ways.
 
-The ideal of a graph on 1..n lives in 2n variables ordered
+The ideal of a graph on 1..n has 2n variables, ordered
 x_1 > ... > x_n > y_1 > ... > y_n; variable x_k is index k and y_k is index
 n+k.
 
@@ -244,20 +244,18 @@ def _remainder(
     return None
 
 
-def _update(pairs: list, live: list[int], lts: list[int], pk: _Packing) -> tuple[list, list[int]]:
+def _update(pairs: list, lts: list[int], pk: _Packing) -> list:
     """Gebauer-Moeller UPDATE for the newest basis element, lts[-1].
 
-    Returns the new pair heap and the new live (non-redundant) elements.
-    Pairs (new, g) for live g are pruned by criterion M (another new pair's
-    lcm properly divides this one's) and F (of equal lcms one pair stays);
-    pairs with coprime leading terms take part in that pruning, then drop
-    out (Buchberger's product criterion).  An old pair falls to criterion B
-    when the new leading term divides its lcm and neither of its elements'
-    lcms with the new term equals it.  Live elements whose leading term the
-    new one divides become redundant.  Divisibility and lcm are written out
-    on the packed ints: a | b exactly when ((b | G) - a) & G == G for the
-    guard bits G, and the guard bits of (a | G) - b mark the fields where
-    a >= b, which the lcm takes from a.
+    Returns the new pair heap.  Pairs (new, g) for older g are pruned by
+    criterion M (another new pair's lcm properly divides this one's) and F
+    (of equal lcms one pair stays); pairs with coprime leading terms take
+    part in that pruning, then drop out (Buchberger's product criterion).
+    An old pair falls to criterion B when the new leading term divides its
+    lcm and neither of its elements' lcms with the new term equals it.
+    Divisibility and lcm are written out on the packed ints: a | b exactly
+    when ((b | G) - a) & G == G for the guard bits G, and the guard bits of
+    (a | G) - b mark the fields where a >= b, which the lcm takes from a.
     """
     guard, shift = pk.guard, EXP_BITS
     new = len(lts) - 1
@@ -265,20 +263,19 @@ def _update(pairs: list, live: list[int], lts: list[int], pk: _Packing) -> tuple
     hg = lt_h | guard
     # lcm(lt_h, t) field by field: d marks the fields where lt_h >= t
     lcms = []
-    for g in live:
+    for g in range(new):
         t = lts[g]
         d = (hg - t) & guard
         mask = d - (d >> shift)
         lcms.append((lt_h & mask) | (t & ~mask))
     kept: list = []
     kept_lcms: list[int] = []
-    for pos, g in enumerate(live):
-        l1 = lcms[pos]
+    for g, l1 in enumerate(lcms):
         if l1 == lt_h + lts[g]:
             kept_lcms.append(l1)  # coprime: it prunes others but makes no pair
             continue
         lg = l1 | guard
-        for l2 in kept_lcms + lcms[pos + 1:]:
+        for l2 in kept_lcms + lcms[g + 1:]:
             if (lg - l2) & guard == guard:
                 break
         else:
@@ -299,7 +296,7 @@ def _update(pairs: list, live: list[int], lts: list[int], pk: _Packing) -> tuple
         survivors.append(pair)
     survivors += [(pk.degree(l1), l1, g, new) for l1, g in kept]
     heapq.heapify(survivors)
-    return survivors, [g for g in live if ((lts[g] | guard) - lt_h) & guard != guard] + [new]
+    return survivors
 
 
 def buchberger_oracle(g: Graph) -> MonomialIdealSF:
@@ -314,11 +311,13 @@ def buchberger_oracle(g: Graph) -> MonomialIdealSF:
     are + and -, and an exponent reaching its guard bit raises
     OverflowError.  Pairs wait in a heap by (lcm degree, lcm), the normal
     selection strategy, and are pruned by Gebauer and Moeller's criteria M,
-    F and B and the product criterion (J. Symb. Comput. 6, 1988).
-    S-polynomials are fully reduced against the non-redundant elements
-    only.  The tails of the final basis are interreduced; a reduced tail
-    not below its leading term, or a non-squarefree leading term, is
-    reported as an internal consistency error.
+    F and B and the product criterion (J. Symb. Comput. 6, 1988).  The
+    generators are homogeneous and pairs leave by lcm degree, so a new leading
+    term, reduced against every older one and of no lower degree, divides
+    none: the basis is one list (``MonomialIdealSF`` refuses a redundant
+    element).  Its tails are interreduced; a reduced tail not below its
+    leading term, or a non-squarefree leading term, is reported as an
+    internal consistency error.
     """
     if g.n > BUCHBERGER_CAP:
         raise CapError("buchberger oracle capped", size=g.n, cap=BUCHBERGER_CAP)
@@ -327,36 +326,29 @@ def buchberger_oracle(g: Graph) -> MonomialIdealSF:
     pk = _Packing(nv)
     lts: list[int] = []
     tails: list[int] = []
-    live: list[int] = []
     pairs: list = []
     for a, b in g.edges():
         lts.append(pk.pack(_exponents(nv, 1 << a | 1 << (n + b))))
         tails.append(pk.pack(_exponents(nv, 1 << b | 1 << (n + a))))
-        pairs, live = _update(pairs, live, lts, pk)
-    live_lts = [lts[k] for k in live]
-    live_tails = [tails[k] for k in live]
+        pairs = _update(pairs, lts, pk)
     while pairs:
         _, lcm, ia, ib = heapq.heappop(pairs)
         s_a = pk.mul(lcm - lts[ia], tails[ia])
         s_b = pk.mul(lcm - lts[ib], tails[ib])
-        r = _remainder(s_a, s_b, live_lts, live_tails, pk)
+        r = _remainder(s_a, s_b, lts, tails, pk)
         if r:
             lts.append(r[0])
             tails.append(r[1])
-            pairs, live = _update(pairs, live, lts, pk)
-            live_lts = [lts[k] for k in live]
-            live_tails = [tails[k] for k in live]
+            pairs = _update(pairs, lts, pk)
 
-    # the live leading terms form an antichain: interreduce the tails
+    # interreduce the tails: each stays below its own leading term, so that never divides it
     masks = []
-    for pos, k in enumerate(live):
-        other_lts = live_lts[:pos] + live_lts[pos + 1:]
-        other_tails = live_tails[:pos] + live_tails[pos + 1:]
-        if _reduce_term(tails[k], other_lts, other_tails, pk) >= lts[k]:
+    for lt, tail in zip(lts, tails):
+        if _reduce_term(tail, lts, tails, pk) >= lt:
             raise RuntimeError(
                 "internal consistency error: reduced tail not below its leading term"
             )
-        exps = pk.unpack(lts[k])
+        exps = pk.unpack(lt)
         if any(e > 1 for e in exps):
             raise RuntimeError("internal consistency error: non-squarefree leading term")
         masks.append(sum(1 << v for v, e in enumerate(exps, start=1) if e))

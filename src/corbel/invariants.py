@@ -81,13 +81,17 @@ def _induced_matching(supports: tuple[int, ...], weights: list[int]) -> tuple[in
     return best_val, best
 
 
+def check_matching_cap(n: int) -> None:
+    if n > MATCHING_CAP:
+        raise CapError("induced matching search capped", size=n, cap=MATCHING_CAP)
+
+
 def induced_matching_number(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Largest set of edges pairwise disjoint and mutually non-adjacent.
 
     Exact search; ties between maximum witnesses break lexicographically.
     """
-    if g.n > MATCHING_CAP:
-        raise CapError("induced matching search capped", size=g.n, cap=MATCHING_CAP)
+    check_matching_cap(g.n)
     edges = g.edges()
     size, best = _induced_matching(tuple(1 << a | 1 << b for a, b in edges), [1] * len(edges))
     return size, tuple(edges[i] for i in best)

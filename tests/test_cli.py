@@ -11,10 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corbel import betti, cli
+from corbel.checks import CHECKS
 from corbel.cli import main, run_verification
 from corbel.errors import UsageError
+from corbel.graphs import from_edge_list, to_graph6
 
 
 def run_cli(*argv):
@@ -137,6 +140,13 @@ def test_analyze_rejects_bad_spec_json(tmp_path):
     path.write_text("{not json")
     rc, _, err = run_cli("analyze", "--spec", str(path))
     assert rc == 2
+    # bytes that are not UTF-8 are bad input too, not a crash
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "edges": [], "\xe9": 0}')
+    for flag in ("--graph", "--spec"):
+        rc, out, err = run_cli("analyze", flag, str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode")
 
 
 K1 = {"n": 1, "edges": []}
@@ -213,8 +223,20 @@ SIX_EDGES = [[i, i + 1] for i in range(1, 7)]
             (),
             10**6 + 1,
         ),
+        (
+            # a whisker on 70,000 edgeless vertices: its composite has
+            # 140,000-bit neighbour masks, so it must not be built
+            "--spec",
+            {
+                "base": {"n": 70000, "edges": []},
+                "S": list(range(1, 70001)),
+                "H": [{"n": 1, "edges": []}] * 70000,
+            },
+            (),
+            140000,
+        ),
     ],
-    ids=["graph-1e6-oracle", "graph-p4000", "spec-1e6-base"],
+    ids=["graph-1e6-oracle", "graph-p4000", "spec-1e6-base", "spec-whisker-70000"],
 )
 def test_oversized_analyze_exits_three_before_any_graph_search(tmp_path, flag, doc, extra, size):
     # every search over the graph takes time or memory in n; the capped
@@ -225,6 +247,11 @@ def test_oversized_analyze_exits_three_before_any_graph_search(tmp_path, flag, d
     done = subprocess.run(argv, env=LIMITED_ENV, capture_output=True, text=True, timeout=3)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == f"error: induced matching search capped (size {size} > cap 16)\n"
+    # a bad --m is a usage error, read before the input's size, whichever flag gives it
+    done = subprocess.run(
+        argv + ["--m", "1"], env=LIMITED_ENV, capture_output=True, text=True, timeout=3
+    )
+    assert (done.returncode, done.stderr) == (2, "error: m must be at least 2\n")
 
 
 def test_verify_pass_and_fail_codes():
@@ -395,6 +422,38 @@ def test_enumerate_writes_its_first_line_before_the_stream_ends():
     assert first == {"base": {"n": 1, "edges": []}, "S": [], "H": []}
 
 
+@pytest.mark.parametrize(
+    "argv,lines,code",
+    [
+        (("enumerate", "--class", "g2", "--max-base", "7", "--max-total", "20"), 1, 0),
+        # over 64 KB of JSON, more than the pipe holds
+        (("verify", "thm2.4", "--max-n", "7"), 1, 0),
+        # the reader leaves before any output, and the verdict still comes through
+        (("verify", "thm3.2", "--max-total", "8"), 0, 1),
+    ],
+    ids=["enumerate", "verify-read-one-line", "verify-failing-unread"],
+)
+def test_a_closed_pipe_ends_output_quietly(argv, lines, code):
+    proc = subprocess.Popen(
+        limited_cli(*argv),
+        env=LIMITED_ENV,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert proc.returncode == code
+    for sign in ("error:", "Traceback", "Exception ignored"):
+        assert sign not in err
+
+
 def test_enumerate_requires_class():
     with pytest.raises(SystemExit):
         main(["enumerate"])
@@ -429,3 +488,88 @@ def test_enumerate_rejects_bad_options(argv, tmp_path):
     path = tmp_path / "specs.jsonl"
     assert run_cli("enumerate", *argv, "--out", str(path))[0] == 2
     assert not path.exists()
+
+
+# --- random command lines, run in process --------------------------------------
+
+@st.composite
+def _graph(draw):
+    """A graph JSON document, well formed for n from 0 to 10**6 or malformed."""
+    n = draw(st.one_of(st.integers(0, 9), st.sampled_from([17, 10**6])))
+    ends = st.integers(1, max(1, min(n, 9)))
+    edges = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=10))
+    bad_n = draw(st.one_of(st.just(-1), st.booleans(), st.text(max_size=2), st.none()))
+    bad_edges = draw(st.lists(st.one_of(st.integers(-1, 99), st.text(max_size=1)), max_size=3))
+    good = {"n": n, "edges": edges}
+    bad = [{"n": n}, {"n": bad_n, "edges": edges}, {"n": n, "edges": bad_edges}]
+    return draw(st.sampled_from([good, good, good, *bad]))
+
+
+@st.composite
+def _spec(draw):
+    """A spec JSON document: a base, attachment vertices and attachments, fitting or not."""
+    attach = draw(st.lists(st.integers(0, 9), max_size=4, unique=True))
+    count = len(attach) + draw(st.sampled_from([0, 0, 0, 1]))
+    attachments = draw(st.lists(_graph(), min_size=count, max_size=count))
+    return {"base": draw(_graph()), "S": attach, "H": attachments}
+
+
+# a JSON document of the right shape or not, or bytes that are no JSON or no UTF-8
+_DOCS = (_graph(), _spec(), st.lists(st.integers(), max_size=3))
+_FILE = st.one_of(*(d.map(lambda x: json.dumps(x).encode()) for d in _DOCS), st.binary(max_size=6))
+# graph6 text: random, or the encoding of a graph on up to 8 vertices
+_G6 = st.one_of(
+    st.text(alphabet=[chr(c) for c in range(63, 127)], max_size=6),
+    st.text(max_size=4),
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=12).map(
+            lambda es: to_graph6(from_edge_list(n, [(a, b) for a, b in es if a != b]))
+        )
+    ),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, file bytes): argv names the file as FILE wherever it reads one."""
+    pick = lambda *choices: list(draw(st.sampled_from(choices)))  # noqa: E731
+    size = lambda *flags: [(f, str(v)) for f in flags for v in range(-1, 5)]  # noqa: E731
+    command = draw(st.sampled_from(["analyze", "verify", "enumerate"]))
+    if command == "analyze":
+        g6 = draw(_G6)
+        one = [("--graph", "FILE"), ("--spec", "FILE"), ("--graph6", g6)]
+        argv = pick(*one, *one, (), ("--spec", "FILE", "--graph6", g6))
+        argv += pick((), (), *(("--m", str(m)) for m in range(-1, 5)))
+        argv += pick((), ("--oracle",)) + pick((), ("--decompose",))
+    elif command == "verify":
+        # always one size option, so no tag sweeps its default universe; jobs <= 1 starts no pool
+        tag = draw(st.sampled_from([*sorted(CHECKS), "thm9.9"]))
+        own = "--" + CHECKS[tag].size.replace("_", "-") if tag in CHECKS else "--max-n"
+        argv = [tag, *pick(*size(own, own, "--max-n", "--max-base", "--max-total"))]
+        argv += pick((), (), ("--jobs", "1"), ("--jobs", "0"), ("--jobs", "-1"))
+    else:
+        argv = pick((), *[("--class", "g1"), ("--class", "g2")] * 2)
+        argv += pick((), *size("--max-base")) + pick((), *size("--max-total"))
+        argv += pick((), ("--attachments", "k1,p3"), ("--attachments", "k1,k1"))
+    if command != "enumerate":
+        argv += pick((), ("--format", "json"), ("--format", "csv"))
+    return [command, *argv], draw(_FILE)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=_command_lines())
+def test_random_command_lines_exit_with_a_documented_code(case, tmp_path):
+    argv, data = case
+    path = tmp_path / "input.json"
+    path.unlink(missing_ok=True)  # a new file: rewriting one in place can wait for a disk flush
+    path.write_bytes(data)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), (argv, data)
