@@ -125,18 +125,38 @@ def run_verification(tag: str, jobs: int = 1, **opts) -> VerificationRun:
 # analyze
 
 
+def _load_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InputError(f"{path}: JSON nested too deeply") from None
+
+
+def _declared_n(obj) -> int:
+    """A graph object's n when it is a positive int, else 0: the parser reports the rest."""
+    n = obj.get("n") if isinstance(obj, dict) else None
+    return n if type(n) is int and n > 0 else 0
+
+
 def _load_graph_arg(args) -> tuple[Graph, GenCoronaSpec | None]:
     chosen = [x for x in (args.graph, args.graph6, args.spec) if x]
     if len(chosen) != 1:
         raise UsageError("analyze needs exactly one of --graph, --graph6, --spec")
-    if args.graph:
-        with open(args.graph, encoding="utf-8") as fh:
-            return from_json_dict(json.load(fh)), None
     if args.graph6:
         return from_graph6(args.graph6), None
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = spec_from_json_dict(json.load(fh))
-    invariants.check_matching_cap(spec.total_vertices())  # refuse before the composite is built
+    # the vertex count is capped before any graph is built: parsing allocates n words
+    if args.graph:
+        doc = _load_json(args.graph)
+        invariants.check_matching_cap(_declared_n(doc))
+        return from_json_dict(doc), None
+    doc = _load_json(args.spec)
+    if isinstance(doc, dict):
+        attached = doc.get("H") if isinstance(doc.get("H"), list) else []
+        invariants.check_matching_cap(
+            _declared_n(doc.get("base")) + sum(map(_declared_n, attached))
+        )
+    spec = spec_from_json_dict(doc)
     return spec.composite(), spec
 
 

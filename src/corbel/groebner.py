@@ -22,8 +22,11 @@ section 1).  So a basis element is a leading term and a tail, and no
 coefficient is stored or divided.  It packs each monomial into one int, a
 guarded bit field per variable with x_1 on top, so int comparison is lex
 order and products, quotients, divisibility, lcm and degree are a few
-integer operations; it drops useless critical pairs with Gebauer and
-Moeller's criteria M, F and B.  The two must agree.
+integer operations.  Each leading term is checked squarefree as it is
+appended, so the pair bookkeeping reads leading terms and lcms as variable
+masks, with or, and and and-not: Buchberger's product criterion goes
+first, then Gebauer and Moeller's criteria M and F in one pass sorted by
+lcm degree, then their criterion B.  The two engines must agree.
 """
 
 from __future__ import annotations
@@ -179,7 +182,9 @@ class _Packing:
         self.nv = nv
         self.width = EXP_BITS + 1 + nv.bit_length()
         self.guard = sum(1 << (k * self.width + EXP_BITS) for k in range(nv))
-        self._ones = sum(1 << (k * self.width) for k in range(nv))
+        # units[v] is variable v alone, for 1 <= v <= nv
+        self.units = (0, *(1 << ((nv - v) * self.width) for v in range(1, nv + 1)))
+        self.ones = sum(self.units)
         self._top = (nv - 1) * self.width
         self._field = (1 << self.width) - 1
 
@@ -212,7 +217,7 @@ class _Packing:
 
     def degree(self, m: int) -> int:
         """Sum of the fields, gathered into the top field by one multiply."""
-        return ((m * self._ones) >> self._top) & self._field
+        return ((m * self.ones) >> self._top) & self._field
 
 
 def _reduce_term(m: int, lts: list[int], tails: list[int], pk: _Packing) -> int:
@@ -247,56 +252,50 @@ def _remainder(
 def _update(pairs: list, lts: list[int], pk: _Packing) -> list:
     """Gebauer-Moeller UPDATE for the newest basis element, lts[-1].
 
-    Returns the new pair heap.  Pairs (new, g) for older g are pruned by
-    criterion M (another new pair's lcm properly divides this one's) and F
-    (of equal lcms one pair stays); pairs with coprime leading terms take
-    part in that pruning, then drop out (Buchberger's product criterion).
-    An old pair falls to criterion B when the new leading term divides its
-    lcm and neither of its elements' lcms with the new term equals it.
-    Divisibility and lcm are written out on the packed ints: a | b exactly
-    when ((b | G) - a) & G == G for the guard bits G, and the guard bits of
-    (a | G) - b mark the fields where a >= b, which the lcm takes from a.
+    Returns the pair heap.  The new leading term is checked squarefree
+    here, once as it is appended, so every leading term and pair lcm has
+    fields of 0 or 1 and works as a variable mask: lcm is |, a shared
+    variable is &, a divides b when a & ~b is 0, and the degree is the bit
+    count.  Pairs (new, g) for older g whose leading terms share no
+    variable make no pair (Buchberger's product criterion).  The leading
+    terms form an antichain, so such an lcm neither divides nor is divided
+    by any other, and criteria M and F lose nothing by its absence.  M
+    (another new pair's lcm properly divides this one's) and F (of equal
+    lcms, the pair with the highest g stays) are then one pass in order of
+    lcm degree, lcm and descending g: a pair stays when no kept lcm divides
+    its own.  An old pair falls to criterion B when the new leading term
+    divides its lcm and neither of its elements' lcms with the new term
+    equals it.  The new pairs are pushed onto the heap in place, unless B
+    dropped a pair, when the heap is rebuilt.
     """
-    guard, shift = pk.guard, EXP_BITS
     new = len(lts) - 1
-    lt_h = lts[new]
-    hg = lt_h | guard
-    # lcm(lt_h, t) field by field: d marks the fields where lt_h >= t
-    lcms = []
+    h = lts[new]
+    if h & ~pk.ones:
+        raise RuntimeError("internal consistency error: non-squarefree leading term")
+    cands = []
     for g in range(new):
-        t = lts[g]
-        d = (hg - t) & guard
-        mask = d - (d >> shift)
-        lcms.append((lt_h & mask) | (t & ~mask))
+        if h & lts[g]:
+            lcm = h | lts[g]
+            cands.append((lcm.bit_count(), lcm, -g))
+    cands.sort()
     kept: list = []
-    kept_lcms: list[int] = []
-    for g, l1 in enumerate(lcms):
-        if l1 == lt_h + lts[g]:
-            kept_lcms.append(l1)  # coprime: it prunes others but makes no pair
-            continue
-        lg = l1 | guard
-        for l2 in kept_lcms + lcms[g + 1:]:
-            if (lg - l2) & guard == guard:
+    for deg, lcm, g in cands:
+        for pair in kept:
+            if not pair[1] & ~lcm:
                 break
         else:
-            kept.append((l1, g))
-            kept_lcms.append(l1)
-    survivors = []
-    for pair in pairs:
-        lcm = pair[1]
-        if ((lcm | guard) - lt_h) & guard == guard:
-            a, b = lts[pair[2]], lts[pair[3]]
-            d = (hg - a) & guard
-            mask = d - (d >> shift)
-            if (lt_h & mask) | (a & ~mask) != lcm:
-                d = (hg - b) & guard
-                mask = d - (d >> shift)
-                if (lt_h & mask) | (b & ~mask) != lcm:
-                    continue
-        survivors.append(pair)
-    survivors += [(pk.degree(l1), l1, g, new) for l1, g in kept]
-    heapq.heapify(survivors)
-    return survivors
+            kept.append((deg, lcm, -g, new))
+    survivors = [
+        pair for pair in pairs
+        if h & ~pair[1] or lts[pair[2]] | h == pair[1] or lts[pair[3]] | h == pair[1]
+    ]
+    if len(survivors) < len(pairs):
+        survivors += kept
+        heapq.heapify(survivors)
+        return survivors
+    for pair in kept:
+        heapq.heappush(pairs, pair)
+    return pairs
 
 
 def buchberger_oracle(g: Graph) -> MonomialIdealSF:
@@ -311,13 +310,16 @@ def buchberger_oracle(g: Graph) -> MonomialIdealSF:
     are + and -, and an exponent reaching its guard bit raises
     OverflowError.  Pairs wait in a heap by (lcm degree, lcm), the normal
     selection strategy, and are pruned by Gebauer and Moeller's criteria M,
-    F and B and the product criterion (J. Symb. Comput. 6, 1988).  The
-    generators are homogeneous and pairs leave by lcm degree, so a new leading
-    term, reduced against every older one and of no lower degree, divides
-    none: the basis is one list (``MonomialIdealSF`` refuses a redundant
-    element).  Its tails are interreduced; a reduced tail not below its
-    leading term, or a non-squarefree leading term, is reported as an
-    internal consistency error.
+    F and B and the product criterion (J. Symb. Comput. 6, 1988).  Each
+    leading term is checked squarefree as it is appended, so the pair
+    bookkeeping is or, and and and-not on variable masks: the product
+    criterion comes first, and M and F are one pass sorted by lcm degree
+    (see ``_update``).  The generators are homogeneous and pairs leave by
+    lcm degree, so a new leading term, reduced against every older one and
+    of no lower degree, divides none: the basis is one list
+    (``MonomialIdealSF`` refuses a redundant element).  Its tails are
+    interreduced.  A non-squarefree leading term, or a reduced tail not
+    below its leading term, is reported as an internal consistency error.
     """
     if g.n > BUCHBERGER_CAP:
         raise CapError("buchberger oracle capped", size=g.n, cap=BUCHBERGER_CAP)
@@ -327,9 +329,10 @@ def buchberger_oracle(g: Graph) -> MonomialIdealSF:
     lts: list[int] = []
     tails: list[int] = []
     pairs: list = []
+    units = pk.units
     for a, b in g.edges():
-        lts.append(pk.pack(_exponents(nv, 1 << a | 1 << (n + b))))
-        tails.append(pk.pack(_exponents(nv, 1 << b | 1 << (n + a))))
+        lts.append(units[a] | units[n + b])
+        tails.append(units[b] | units[n + a])
         pairs = _update(pairs, lts, pk)
     while pairs:
         _, lcm, ia, ib = heapq.heappop(pairs)
@@ -348,8 +351,5 @@ def buchberger_oracle(g: Graph) -> MonomialIdealSF:
             raise RuntimeError(
                 "internal consistency error: reduced tail not below its leading term"
             )
-        exps = pk.unpack(lt)
-        if any(e > 1 for e in exps):
-            raise RuntimeError("internal consistency error: non-squarefree leading term")
-        masks.append(sum(1 << v for v, e in enumerate(exps, start=1) if e))
+        masks.append(sum(1 << v for v in range(1, nv + 1) if lt & units[v]))
     return MonomialIdealSF(nv, tuple(masks))

@@ -235,8 +235,23 @@ SIX_EDGES = [[i, i + 1] for i in range(1, 7)]
             (),
             140000,
         ),
+        # parsing either file would allocate 10^8 words, so the cap is read first
+        ("--graph", {"n": 10**8, "edges": []}, (), 10**8),
+        (
+            "--spec",
+            {"base": {"n": 10**8, "edges": []}, "S": [1], "H": [{"n": 1, "edges": []}]},
+            (),
+            10**8 + 1,
+        ),
     ],
-    ids=["graph-1e6-oracle", "graph-p4000", "spec-1e6-base", "spec-whisker-70000"],
+    ids=[
+        "graph-1e6-oracle",
+        "graph-p4000",
+        "spec-1e6-base",
+        "spec-whisker-70000",
+        "graph-1e8-unparsed",
+        "spec-1e8-base-unparsed",
+    ],
 )
 def test_oversized_analyze_exits_three_before_any_graph_search(tmp_path, flag, doc, extra, size):
     # every search over the graph takes time or memory in n; the capped
@@ -252,6 +267,17 @@ def test_oversized_analyze_exits_three_before_any_graph_search(tmp_path, flag, d
         argv + ["--m", "1"], env=LIMITED_ENV, capture_output=True, text=True, timeout=3
     )
     assert (done.returncode, done.stderr) == (2, "error: m must be at least 2\n")
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--spec"])
+def test_deeply_nested_json_is_bad_input(tmp_path, flag):
+    # the JSON parser recurses once per level, past the interpreter's limit here
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    argv = limited_cli("analyze", flag, str(path))
+    done = subprocess.run(argv, env=LIMITED_ENV, capture_output=True, text=True, timeout=3)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {path}: JSON nested too deeply\n"
 
 
 def test_verify_pass_and_fail_codes():

@@ -1,5 +1,6 @@
 """Admissible-path Groebner bases and the Buchberger cross-check."""
 
+import heapq
 import itertools
 import random
 
@@ -250,6 +251,91 @@ def test_update_applies_the_gebauer_moeller_criteria():
     assert pairs == [(3, abc, 0, 2)]
     # coprime leading terms make no pair
     assert _update([], [c + d, a + b], pk) == []
+
+
+def test_criterion_b_keeps_a_pair_when_either_lcm_with_the_new_term_equals_its_own():
+    # variables a > b > c > d and h = ad, which divides the old lcm abcd;
+    # lcm(ab, ad) = abd differs from it and lcm(bcd, ad) equals it, so the
+    # old pair stays with bcd on either side.  M drops the new pair with lcm
+    # abcd, since abd properly divides it
+    pk = _Packing(4)
+    a, b, c, d = (pk.pack(tuple(int(k == v) for k in range(4))) for v in range(4))
+    abcd = a + b + c + d
+    pairs = _update([(4, abcd, 0, 1)], [a + b, b + c + d, a + d], pk)
+    assert sorted(pairs) == [(3, a + b + d, 0, 2), (4, abcd, 0, 1)]
+    pairs = _update([(4, abcd, 0, 1)], [b + c + d, a + b, a + d], pk)
+    assert sorted(pairs) == [(3, a + b + d, 1, 2), (4, abcd, 0, 1)]
+
+
+def _textbook_update(old_pairs, supports):
+    """Becker and Weispfenning's UPDATE (*Groebner Bases*, 1993, section
+    5.5) for the newest support, on leading terms as sets of variables, with
+    C walked by increasing older index.  Returns the kept old pairs and the
+    new pairs as (lcm, older index)."""
+    h = supports[-1]
+    c = list(range(len(supports) - 1))
+    d = []
+    while c:
+        g1 = c.pop(0)
+        lcm = h | supports[g1]
+        if not h & supports[g1] or not any(h | supports[g2] <= lcm for g2 in c + d):
+            d.append(g1)
+    new = {(h | supports[g], g) for g in d if h & supports[g]}
+    kept = set()
+    for a, b in old_pairs:
+        lcm = supports[a] | supports[b]
+        if not h <= lcm or supports[a] | h == lcm or supports[b] | h == lcm:
+            kept.add((a, b))
+    return kept, new
+
+
+@st.composite
+def _antichain_and_pairs(draw):
+    nv = draw(st.integers(1, 8))
+    supports = []
+    for mask in draw(st.lists(st.integers(1, (1 << nv) - 1), min_size=1, max_size=12)):
+        s = frozenset(v for v in range(nv) if mask >> v & 1)
+        if not any(s <= t or t <= s for t in supports):
+            supports.append(s)
+    older = list(itertools.combinations(range(len(supports) - 1), 2))
+    old_pairs = draw(st.lists(st.sampled_from(older), unique=True)) if older else []
+    return nv, supports, old_pairs
+
+
+@given(_antichain_and_pairs())
+def test_update_matches_the_textbook_update(case):
+    nv, supports, old_pairs = case
+    pk = _Packing(nv)
+
+    def packed(s):
+        return pk.pack(tuple(int(v in s) for v in range(nv)))
+
+    heap = [(len(supports[a] | supports[b]), packed(supports[a] | supports[b]), a, b)
+            for a, b in old_pairs]
+    heapq.heapify(heap)
+    heap = _update(heap, [packed(s) for s in supports], pk)
+    assert all(heap[(k - 1) // 2] <= heap[k] for k in range(1, len(heap)))
+    kept, new = _textbook_update(old_pairs, supports)
+    newest = len(supports) - 1
+    assert {(a, b) for _, _, a, b in heap if b < newest} == kept
+    assert {(deg, lcm, a) for deg, lcm, a, b in heap if b == newest} == {
+        (len(lcm), packed(lcm), g) for lcm, g in new
+    }
+
+
+def test_buchberger_remainder_count_on_relabeled_graphs(monkeypatch):
+    # a change that keeps every output but reduces more S-pairs shows here
+    calls = []
+    remainder = groebner._remainder
+
+    def counted(*args):
+        calls.append(args)
+        return remainder(*args)
+
+    monkeypatch.setattr(groebner, "_remainder", counted)
+    for _, g in RELABELED_GRAPHS:
+        buchberger_oracle(g)
+    assert len(calls) == 5361
 
 
 def test_caps():
