@@ -10,6 +10,7 @@ rebinds that module attribute sees every call.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -57,6 +58,15 @@ def _record(instance_id: str, formula, oracle, ok: bool) -> dict:
         "oracle": oracle,
         "verdict": "pass" if ok else "fail",
     }
+
+
+# how the oracle's value must compare with a bound of each kind
+_HOLDS = {"lower": operator.ge, "upper": operator.le, "equality": operator.eq}
+
+
+def _against(instance_id: str, report: formulas.BoundReport, value) -> dict:
+    """The record of the oracle's value checked against report in its direction."""
+    return _record(instance_id, report.value, value, _HOLDS[report.kind](value, report.value))
 
 
 # --- universes -------------------------------------------------------------
@@ -234,46 +244,46 @@ def _paths_match_buchberger(payload: dict) -> dict:
 
 def _general_depth_lower(payload: dict) -> dict:
     g = from_json_dict(payload["graph"])
-    bound = formulas.depth_lower_bound_general(g, 2).value
+    bound = formulas.depth_lower_bound_general(g, 2)
     depth, _ = betti.oracle_depth_reg(g)
-    return _record(payload["id"], bound, depth, depth >= bound)
+    return _against(payload["id"], bound, depth)
 
 
 def _kappa_depth_upper(payload: dict) -> dict:
     g = from_json_dict(payload["graph"])
-    bound = formulas.depth_upper_bound_kappa(g, 2).value
+    bound = formulas.depth_upper_bound_kappa(g, 2)
     depth, _ = betti.oracle_depth_reg(g)
-    return _record(payload["id"], bound, depth, depth <= bound)
+    return _against(payload["id"], bound, depth)
 
 
 def _g2_depth_lower(payload: dict) -> dict:
     spec = spec_from_json_dict(payload["spec"])
-    bound = formulas.depth_lower_bound_g2_gen(spec, 2).value
+    bound = formulas.depth_lower_bound_g2_gen(spec, 2)
     depth, _ = betti.oracle_depth_reg(spec.composite())
-    return _record(payload["id"], bound, depth, depth >= bound)
+    return _against(payload["id"], bound, depth)
 
 
 def _gprime_depth_equality(payload: dict) -> dict:
     spec = spec_from_json_dict(payload["spec"])
     depths = [betti.oracle_depth_reg(h)[0] for h in spec.attachments]
-    value = formulas.depth_equality_gprime(spec, 2, depth_of_h=depths).value
+    bound = formulas.depth_equality_gprime(spec, 2, depth_of_h=depths)
     depth, _ = betti.oracle_depth_reg(spec.composite())
-    return _record(payload["id"], value, depth, depth == value)
+    return _against(payload["id"], bound, depth)
 
 
 def _g2_depth_lower_binom(payload: dict) -> dict:
     spec = spec_from_json_dict(payload["spec"])
     depths = [betti.oracle_depth_reg(h)[0] for h in spec.attachments]
-    bound = formulas.depth_lower_bound_g2_binom(spec, depths).value
+    bound = formulas.depth_lower_bound_g2_binom(spec, depths)
     depth, _ = betti.oracle_depth_reg(spec.composite())
-    return _record(payload["id"], bound, depth, depth >= bound)
+    return _against(payload["id"], bound, depth)
 
 
 def _g1_reg_upper(payload: dict) -> dict:
     spec = spec_from_json_dict(payload["spec"])
-    bound = formulas.reg_upper_bound_g1(spec, 2).value
+    bound = formulas.reg_upper_bound_g1(spec, 2)
     _, reg = betti.oracle_depth_reg(spec.composite())
-    return _record(payload["id"], bound, reg, reg <= bound)
+    return _against(payload["id"], bound, reg)
 
 
 def _hypergraph_reg_lower(payload: dict) -> dict:
@@ -289,9 +299,9 @@ def _hypergraph_reg_lower(payload: dict) -> dict:
 
 def _gap_free_whisker_reg(payload: dict) -> dict:
     spec = spec_from_json_dict(payload["spec"])
-    value = formulas.reg_gapfree_whisker(spec.base).value
+    bound = formulas.reg_gapfree_whisker(spec.base)
     _, reg = betti.oracle_depth_reg(spec.composite())
-    return _record(payload["id"], value, reg, reg == value)
+    return _against(payload["id"], bound, reg)
 
 
 def _cm_classification(payload: dict) -> dict:
@@ -315,9 +325,9 @@ def _corona_dimension(payload: dict) -> dict:
         return _record(payload["id"], n + m - 1, value, value == n + m - 1)
     spec = spec_from_json_dict(payload["spec"])
     dims = [decomposition.dimension(h, 2).value for h in spec.attachments]
-    value = formulas.dim_g2prime(spec, dims).value
+    bound = formulas.dim_g2prime(spec, dims)
     dim = decomposition.dimension(spec.composite(), 2).value
-    return _record(payload["id"], value, dim, value == dim)
+    return _against(payload["id"], bound, dim)
 
 
 def _exact_sequence(payload: dict) -> dict:

@@ -41,6 +41,7 @@ from .graphs import (
     from_json_dict,
     graph_from_name,
     is_connected,
+    parse_graph_name,
     to_graph6,
     to_json_dict,
 )
@@ -322,7 +323,9 @@ def _enumerate_specs(args):
     if not names or len(set(names)) != len(names):
         raise UsageError(f"--attachments needs distinct graph names, got {attachments!r}")
     max_total = args.max_total if args.max_total is not None else 8
-    pool = [(name, graph_from_name(name)) for name in names]
+    orders = [parse_graph_name(name)[1] for name in names]
+    # every base has a vertex, so an attachment of max_total vertices never fits
+    pool = [(name, graph_from_name(name)) for name, n in zip(names, orders) if n < max_total]
     return (spec for g in bases for _, spec in covered_coronas(g, pool, max_total))
 
 

@@ -371,24 +371,35 @@ def _iter_connected_graphs(max_n: int):
             yield Graph(n, adj)
 
 
-def graph_from_name(name: str) -> Graph:
-    """Small named graphs: k<n>, p<n>, c<n>, and <m>k1 for m isolated vertices."""
+def parse_graph_name(name: str) -> tuple[str, int]:
+    """(kind, n) for a graph_from_name name, with no graph built.
+
+    kind is "k", "p" or "c", or "" for n isolated vertices; n is the order.
+    """
     s = name.strip().lower()
     try:
         if s.endswith("k1") and len(s) > 2 and s[:-2].isdigit():
-            return from_edge_list(int(s[:-2]), [])
+            return "", int(s[:-2])
         kind, num = s[0], s[1:]
         n = int(num)
         if n < 1:
             raise ValueError
     except (ValueError, IndexError):
         raise InputError(f"unknown graph name {name!r}") from None
+    if kind not in ("k", "p", "c"):
+        raise InputError(f"unknown graph name {name!r}")
+    if kind == "c" and n < 3:
+        raise InputError(f"cycle needs at least 3 vertices, got {name!r}")
+    return kind, n
+
+
+def graph_from_name(name: str) -> Graph:
+    """Small named graphs: k<n>, p<n>, c<n>, and <m>k1 for m isolated vertices."""
+    kind, n = parse_graph_name(name)
     if kind == "k":
         return from_edge_list(n, itertools.combinations(range(1, n + 1), 2))
     if kind == "p":
         return from_edge_list(n, [(i, i + 1) for i in range(1, n)])
     if kind == "c":
-        if n < 3:
-            raise InputError(f"cycle needs at least 3 vertices, got {name!r}")
         return from_edge_list(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
-    raise InputError(f"unknown graph name {name!r}")
+    return from_edge_list(n, [])

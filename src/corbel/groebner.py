@@ -6,12 +6,11 @@ n+k.
 
 ``reduced_groebner_basis`` builds the basis combinatorially from admissible
 paths (Herzog, Hibi, Hreinsdottir, Kahle and Rauh, Adv. Appl. Math. 45,
-2010), with monomials as exponent tuples of length 2n, so Python's tuple
-comparison is exactly the lex order.  One walk per start vertex, over the
-graph's neighbour masks, finds every admissible path from that vertex
-together with its coefficient monomial as a variable mask;
-``initial_ideal`` passes those masks straight to ``MonomialIdealSF``, which
-stores generators as masks.
+2010).  Every monomial there is squarefree and is a variable mask, bit v
+for variable v.  One walk per start vertex, over the graph's neighbour
+masks, finds every admissible path from that vertex together with its
+coefficient monomial as a mask; ``initial_ideal`` passes the leading terms
+straight to ``MonomialIdealSF``, which stores generators as masks.
 
 ``buchberger_oracle`` recomputes the initial ideal from the edge generators
 alone, with nothing from the path walk.  Those generators are differences
@@ -21,12 +20,14 @@ such differences is again a difference of two monomials, or zero
 section 1).  So a basis element is a leading term and a tail, and no
 coefficient is stored or divided.  It packs each monomial into one int, a
 guarded bit field per variable with x_1 on top, so int comparison is lex
-order and products, quotients, divisibility, lcm and degree are a few
-integer operations.  Each leading term is checked squarefree as it is
-appended, so the pair bookkeeping reads leading terms and lcms as variable
-masks, with or, and and and-not: Buchberger's product criterion goes
-first, then Gebauer and Moeller's criteria M and F in one pass sorted by
-lcm degree, then their criterion B.  The two engines must agree.
+order and products, quotients and divisibility are a few integer
+operations.  The reduction is the one place that needs real exponents,
+since S-polynomials carry squares such as y_1^2.  Each leading term is
+checked squarefree as it is appended, so the pair bookkeeping reads
+leading terms and lcms as variable masks, with or, and and and-not:
+Buchberger's product criterion goes first, then Gebauer and Moeller's
+criteria M and F in one pass sorted by lcm degree, then their criterion B.
+The two engines must agree.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapError, InputError
-from .graphs import Graph
+from .graphs import Graph, bits
 
 GROEBNER_CAP = 12
 BUCHBERGER_CAP = 10
@@ -76,18 +77,6 @@ def _walk(adj: tuple[int, ...], n: int, i: int) -> list[tuple[int, int, int]]:
                 if w > i + 1:
                     stack.append((w, grown, w, u | bit))
     return found
-
-
-@dataclass(frozen=True)
-class Binomial:
-    """plus - minus with both coefficients one; plus is the lex leading term."""
-
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.plus == self.minus:
-            raise InputError("degenerate binomial")
 
 
 @dataclass(frozen=True)
@@ -130,27 +119,17 @@ def _path_masks(g: Graph) -> list[tuple[int, int, int]]:
     return [(i, j, u) for i in range(1, g.n) for j, _, u in _walk(g.adj, g.n, i)]
 
 
-def _exponents(nv: int, mask: int) -> tuple[int, ...]:
-    """The squarefree monomial with variable mask ``mask`` as an exponent tuple."""
-    return tuple(mask >> v & 1 for v in range(1, nv + 1))
-
-
-def reduced_groebner_basis(g: Graph) -> list[Binomial]:
+def reduced_groebner_basis(g: Graph) -> list[tuple[int, int]]:
     """Reduced lex basis: one element u * (x_i y_j - x_j y_i) per admissible path.
 
-    Distinct admissible paths give distinct leading terms.  Sorted by
-    leading term, largest first.
+    Each element is a (leading term, tail) pair of variable masks.
+    Distinct admissible paths give distinct leading terms, and these form
+    an antichain, so the first variable where two differ is in the larger
+    one alone: sorting by variable list puts the largest leading term first.
     """
     n = g.n
-    nv = 2 * n
-    out = [
-        Binomial(
-            _exponents(nv, u | 1 << i | 1 << (n + j)),
-            _exponents(nv, u | 1 << j | 1 << (n + i)),
-        )
-        for i, j, u in _path_masks(g)
-    ]
-    return sorted(out, key=lambda b: b.plus, reverse=True)
+    out = [(u | 1 << i | 1 << (n + j), u | 1 << j | 1 << (n + i)) for i, j, u in _path_masks(g)]
+    return sorted(out, key=lambda b: bits(b[0]))
 
 
 def initial_ideal(g: Graph) -> MonomialIdealSF:
@@ -172,33 +151,17 @@ class _Packing:
 
     One field per variable, x_1 in the most significant field and y_n in
     the least, so comparing the ints compares the monomials in lex order.
-    A field has EXP_BITS exponent bits, a guard bit above them, and enough
-    zero bits above the guard that a whole degree fits in one field.  With
+    A field has EXP_BITS exponent bits and a guard bit above them.  With
     every guard bit clear, products and quotients are + and -, and
-    divisibility, lcm and degree take a few word operations.
+    divisibility takes a few word operations.
     """
 
     def __init__(self, nv: int):
-        self.nv = nv
-        self.width = EXP_BITS + 1 + nv.bit_length()
+        self.width = EXP_BITS + 1
         self.guard = sum(1 << (k * self.width + EXP_BITS) for k in range(nv))
         # units[v] is variable v alone, for 1 <= v <= nv
         self.units = (0, *(1 << ((nv - v) * self.width) for v in range(1, nv + 1)))
         self.ones = sum(self.units)
-        self._top = (nv - 1) * self.width
-        self._field = (1 << self.width) - 1
-
-    def pack(self, exps) -> int:
-        if not all(0 <= e < 1 << EXP_BITS for e in exps):
-            raise OverflowError(f"exponents {tuple(exps)} leave 0..2**{EXP_BITS}-1")
-        m = 0
-        for e in exps:
-            m = (m << self.width) | e
-        return m
-
-    def unpack(self, m: int) -> tuple[int, ...]:
-        w, f = self.width, self._field
-        return tuple((m >> (k * w)) & f for k in range(self.nv - 1, -1, -1))
 
     def mul(self, a: int, b: int) -> int:
         c = a + b
@@ -214,10 +177,6 @@ class _Packing:
             if (mg - lt) & g == g:
                 return pos
         return -1
-
-    def degree(self, m: int) -> int:
-        """Sum of the fields, gathered into the top field by one multiply."""
-        return ((m * self.ones) >> self._top) & self._field
 
 
 def _reduce_term(m: int, lts: list[int], tails: list[int], pk: _Packing) -> int:

@@ -164,6 +164,7 @@ def test_sr_dimension():
     assert sr_dimension(initial_ideal(graph_from_name("p4"))) == 5
     assert sr_dimension(initial_ideal(graph_from_name("k5"))) == 6
     assert sr_dimension(MonomialIdealSF(4, ())) == 4
+    assert sr_dimension(MonomialIdealSF(0, ())) == 0
 
 
 def test_var_cap():
@@ -180,6 +181,26 @@ def test_lattice_cap_is_read_at_call_time(monkeypatch):
         with pytest.raises(CapError) as exc:
             engine(ideal)
         assert (exc.value.size, exc.value.cap) == (6, 5)
+    # a lattice of exactly the cap's size is allowed
+    monkeypatch.setattr(betti, "LATTICE_CAP", 6)
+    assert len(lcm_lattice(ideal)) == 6
+
+
+@st.composite
+def _squarefree_ideal(draw):
+    """A squarefree monomial ideal in at most 8 variables, minimal generators only."""
+    nv = draw(st.integers(0, 8))
+    masks = set(draw(st.lists(st.integers(1, (1 << nv) - 1), max_size=8))) if nv else set()
+    minimal = [m for m in masks if not any(k != m and k & m == k for k in masks)]
+    return MonomialIdealSF(nv, tuple(m << 1 for m in minimal))
+
+
+@given(_squarefree_ideal())
+def test_sr_dimension_is_the_largest_face(ideal):
+    # a face is a set of variables containing no generator
+    faces = [f << 1 for f in range(1 << ideal.n_vars)]
+    want = max(f.bit_count() for f in faces if all(g & ~f for g in ideal.masks))
+    assert sr_dimension(ideal) == want
 
 
 def test_tree_walk_caps_its_node_count(monkeypatch):

@@ -1,14 +1,16 @@
 """The verify check table and the consumers of the shared corona generator."""
 
 import contextlib
+import dataclasses
 import io
 import json
 from collections import Counter
 
 import pytest
 
+from corbel import formulas
 from corbel.checks import CHECKS, g2_universe
-from corbel.cli import main
+from corbel.cli import main, run_verification
 
 
 def enumerate_specs(*argv) -> list[dict]:
@@ -49,3 +51,42 @@ def test_enumerate_g2_matches_g2_universe_up_to_base_labels():
     universe = [spec.to_json_dict() for _, spec in g2_universe()]
     assert len(streamed) == len(universe) == 161
     assert Counter(map(key, streamed)) == Counter(map(key, universe))
+
+
+# tag, its formula, the formula's direction, then how many instances the
+# moved bound must fail and how many the default sweep has
+BOUND_TAGS = [
+    ("thm2.4", "depth_lower_bound_general", "lower", 22, 31),
+    ("thm2.5", "depth_upper_bound_kappa", "upper", 27, 31),
+    # 88 attained, plus the pinned counterexample
+    ("thm3.2", "depth_lower_bound_g2_gen", "lower", 89, 89),
+    ("thm4.2", "reg_upper_bound_g1", "upper", 59, 59),
+    ("thm3.3", "depth_equality_gprime", "equality", 10, 10),
+    ("thm4.6", "reg_gapfree_whisker", "equality", 9, 9),
+]
+# a lower bound breaks when raised, an upper one when lowered, an equality either way
+BREAKING_SHIFTS = {"lower": (1,), "upper": (-1,), "equality": (1, -1)}
+
+
+@pytest.mark.parametrize(
+    "tag,name,kind,failing,total,shift",
+    [(*case, shift) for case in BOUND_TAGS for shift in BREAKING_SHIFTS[case[2]]],
+)
+def test_a_bound_moved_by_one_fails_where_it_is_attained(
+    monkeypatch, sweep, tag, name, kind, failing, total, shift
+):
+    # a check that passes a wrong value shows here: every instance where the
+    # bound is attained must fail once the bound moves past the oracle
+    records = sweep(tag).records
+    want = {r["id"] for r in records if r["formula"] == r["oracle"] or r["verdict"] == "fail"}
+    formula = getattr(formulas, name)
+
+    def moved(*args, **kwargs):
+        report = formula(*args, **kwargs)
+        assert report.kind == kind
+        return dataclasses.replace(report, value=report.value + shift)
+
+    monkeypatch.setattr(formulas, name, moved)
+    run = run_verification(tag)
+    assert {r["id"] for r in run.records if r["verdict"] == "fail"} == want
+    assert (len(want), len(run.records)) == (failing, total)

@@ -42,6 +42,14 @@ def test_analyze_graph6_json():
     ]
 
 
+def test_analyze_one_vertex():
+    rc, out, _ = run_cli("analyze", "--graph6", "@")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["graph"] == {"n": 1, "edges": []}
+    assert [(b["name"], b["value"]) for b in doc["bounds"]] == [("thm2.4", 2), ("thm2.5", 2)]
+
+
 def test_analyze_spec_full_report(tmp_path):
     spec = {
         "base": {"n": 3, "edges": [[1, 2], [2, 3]]},
@@ -429,6 +437,10 @@ def test_enumerate_streams_specs():
     rc, out, _ = run_cli("enumerate", "--class", "g1", "--max-base", "2")
     assert rc == 0
     assert len(out.strip().splitlines()) == 6
+    # the smallest size: K1 bare and K1 whiskered
+    rc, out, _ = run_cli("enumerate", "--class", "g1", "--max-base", "1")
+    assert rc == 0
+    assert [json.loads(line)["S"] for line in out.splitlines()] == [[], [1]]
 
 
 def test_enumerate_writes_its_first_line_before_the_stream_ends():
@@ -480,6 +492,25 @@ def test_a_closed_pipe_ends_output_quietly(argv, lines, code):
         assert sign not in err
 
 
+ENUMERATE_TO_FOUR = ("enumerate", "--class", "g2", "--max-base", "2", "--max-total", "4")
+
+
+@pytest.mark.parametrize("names", ["k30000", "1000000000k1", "k1,k30000"])
+def test_enumerate_leaves_out_attachments_too_large_to_fit(names):
+    # K30000 has 4.5 * 10^8 edges and 10^9 K1 a 10^9-entry mask tuple;
+    # neither fits with a base under --max-total 4, so neither is built
+    argv = limited_cli(*ENUMERATE_TO_FOUR, "--attachments", names)
+    done = subprocess.run(argv, env=LIMITED_ENV, capture_output=True, text=True, timeout=2)
+    assert (done.returncode, done.stderr) == (0, "")
+    if names.startswith("k1,"):
+        _, want, _ = run_cli(*ENUMERATE_TO_FOUR, "--attachments", "k1")
+        assert done.stdout == want
+        assert hashlib.sha256(want.encode()).hexdigest().startswith("442b7183")
+    else:
+        # only K1 and K2 with no attachment set are left
+        assert [json.loads(line)["H"] for line in done.stdout.splitlines()] == [[], []]
+
+
 def test_enumerate_requires_class():
     with pytest.raises(SystemExit):
         main(["enumerate"])
@@ -504,6 +535,9 @@ def test_enumerate_output_is_unchanged_by_explicit_defaults():
         ("--class", "g1", "--attachments", "k1"),
         ("--class", "g2", "--attachments", ""),
         ("--class", "g2", "--attachments", "k1,k1"),
+        # a name too large to fit is still checked, and so are the rest
+        ("--class", "g2", "--max-total", "4", "--attachments", "k30000,c2"),
+        ("--class", "g2", "--max-total", "4", "--attachments", "1000000000k1,x3"),
     ],
 )
 def test_enumerate_rejects_bad_options(argv, tmp_path):

@@ -27,6 +27,7 @@ from corbel.graphs import (
     is_free_vertex,
     ncomponents,
     non_free_vertices,
+    parse_graph_name,
     to_graph6,
     to_json_dict,
 )
@@ -49,6 +50,16 @@ def test_named_graphs():
 def test_named_graph_rejects(bad):
     with pytest.raises(InputError):
         graph_from_name(bad)
+    with pytest.raises(InputError):
+        parse_graph_name(bad)
+
+
+def test_parsed_name_gives_the_order_with_no_graph_built():
+    for name, kind in (("p4", "p"), ("k3", "k"), ("c5", "c"), ("3k1", ""), (" K2 ", "k")):
+        assert parse_graph_name(name) == (kind, graph_from_name(name).n)
+    # far too large to build, and read all the same
+    assert parse_graph_name("1000000000k1") == ("", 10**9)
+    assert parse_graph_name("k30000") == ("k", 30000)
 
 
 @pytest.mark.parametrize(
