@@ -2,8 +2,10 @@
 
 Each ``Check`` names the one size option its universe reads and that
 option's default, a universe function ``size -> (description, payloads)``
-and a module-level ``evaluate(payload) -> record``.  Payloads are plain JSON
-dicts, so an evaluator runs unchanged in a worker process.  Evaluators reach
+and a module-level ``evaluate(payload) -> record``.  A payload is a dict of
+an id, the ``Graph`` or ``GenCoronaSpec`` itself and any plain extra keys;
+both classes are frozen dataclasses of ints and tuples, so a payload pickles
+as it is and an evaluator runs unchanged in a worker process.  Evaluators reach
 the oracle as ``betti.oracle_depth_reg`` at call time, so a caller that
 rebinds that module attribute sees every call.
 """
@@ -20,7 +22,6 @@ from .constructions import (
     GenCoronaSpec,
     covered_coronas,
     covering_sets,
-    spec_from_json_dict,
     whisker,
     whisker_matching_labeling,
     whisker_on_set,
@@ -31,12 +32,10 @@ from .graphs import (
     bits,
     disjoint_union,
     enumerate_connected_graphs,
-    from_json_dict,
     graph_from_name,
     is_connected,
     non_free_vertices,
     to_graph6,
-    to_json_dict,
 )
 
 
@@ -96,7 +95,7 @@ def g2_universe(max_total: int = 8) -> list[tuple[str, GenCoronaSpec]]:
 
 
 def _graph_payloads(graphs) -> list[dict]:
-    return [{"id": to_graph6(g), "graph": to_json_dict(g)} for g in graphs]
+    return [{"id": to_graph6(g), "graph": g} for g in graphs]
 
 
 def _connected_graphs(max_n: int) -> tuple[str, list[dict]]:
@@ -109,8 +108,7 @@ def _whiskers(max_base: int, gap_free: bool = False) -> tuple[str, list[dict]]:
     for g in enumerate_connected_graphs(max_base):
         if gap_free and invariants.induced_matching_number(g)[0] != 1:
             continue
-        spec, _ = whisker(g)
-        payloads.append({"id": f"W({to_graph6(g)})", "spec": spec.to_json_dict()})
+        payloads.append({"id": f"W({to_graph6(g)})", "spec": whisker(g)})
     kind = "gap-free connected" if gap_free else "connected"
     return f"whiskers over {kind} graphs on at most {max_base} vertices", payloads
 
@@ -119,9 +117,8 @@ def _partial_whiskers(max_base: int) -> tuple[str, list[dict]]:
     payloads = []
     for g in enumerate_connected_graphs(max_base):
         for s in covering_sets(g):
-            spec, _ = whisker_on_set(g, s)
             sid = f"W_{{{','.join(map(str, s)) or '-'}}}({to_graph6(g)})"
-            payloads.append({"id": sid, "spec": spec.to_json_dict()})
+            payloads.append({"id": sid, "spec": whisker_on_set(g, s)})
     payloads.sort(key=lambda p: p["id"])
     return (
         f"partial whiskers covering all non-free vertices, base at most {max_base} vertices",
@@ -131,7 +128,7 @@ def _partial_whiskers(max_base: int) -> tuple[str, list[dict]]:
 
 def _coronas(max_total: int, keep) -> list[dict]:
     return [
-        {"id": sid, "spec": spec.to_json_dict()}
+        {"id": sid, "spec": spec}
         for sid, spec in g2_universe(max_total=max_total)
         if keep(spec)
     ]
@@ -174,12 +171,7 @@ def _graphs_and_labeled_whiskers(max_n: int) -> tuple[str, list[dict]]:
         g = graph_from_name(name)
         labeled = whisker_matching_labeling(g)
         payloads.append(
-            {
-                "id": f"labeled:W({name})",
-                "kind": "labeling",
-                "graph": to_json_dict(labeled),
-                "p": g.n,
-            }
+            {"id": f"labeled:W({name})", "kind": "labeling", "graph": labeled, "p": g.n}
         )
     return (
         f"connected graphs on at most {max_n} vertices plus labeled whiskers",
@@ -191,7 +183,7 @@ def _non_free_vertex_choices(max_n: int) -> tuple[str, list[dict]]:
     payloads = []
     for g in enumerate_connected_graphs(max_n):
         for v in bits(non_free_vertices(g)):
-            payloads.append({"id": f"{to_graph6(g)}@v{v}", "graph": to_json_dict(g), "v": v})
+            payloads.append({"id": f"{to_graph6(g)}@v{v}", "graph": g, "v": v})
     return (
         f"connected graphs on at most {max_n} vertices, each non-free vertex",
         payloads,
@@ -231,7 +223,7 @@ def _orders(max_n: int) -> tuple[str, list[dict]]:
 
 
 def _paths_match_buchberger(payload: dict) -> dict:
-    g = from_json_dict(payload["graph"])
+    g = payload["graph"]
     paths_ideal = groebner.initial_ideal(g)
     buch = groebner.buchberger_oracle(g)
     return _record(
@@ -243,28 +235,28 @@ def _paths_match_buchberger(payload: dict) -> dict:
 
 
 def _general_depth_lower(payload: dict) -> dict:
-    g = from_json_dict(payload["graph"])
+    g = payload["graph"]
     bound = formulas.depth_lower_bound_general(g, 2)
     depth, _ = betti.oracle_depth_reg(g)
     return _against(payload["id"], bound, depth)
 
 
 def _kappa_depth_upper(payload: dict) -> dict:
-    g = from_json_dict(payload["graph"])
+    g = payload["graph"]
     bound = formulas.depth_upper_bound_kappa(g, 2)
     depth, _ = betti.oracle_depth_reg(g)
     return _against(payload["id"], bound, depth)
 
 
 def _g2_depth_lower(payload: dict) -> dict:
-    spec = spec_from_json_dict(payload["spec"])
+    spec = payload["spec"]
     bound = formulas.depth_lower_bound_g2_gen(spec, 2)
     depth, _ = betti.oracle_depth_reg(spec.composite())
     return _against(payload["id"], bound, depth)
 
 
 def _gprime_depth_equality(payload: dict) -> dict:
-    spec = spec_from_json_dict(payload["spec"])
+    spec = payload["spec"]
     depths = [betti.oracle_depth_reg(h)[0] for h in spec.attachments]
     bound = formulas.depth_equality_gprime(spec, 2, depth_of_h=depths)
     depth, _ = betti.oracle_depth_reg(spec.composite())
@@ -272,7 +264,7 @@ def _gprime_depth_equality(payload: dict) -> dict:
 
 
 def _g2_depth_lower_binom(payload: dict) -> dict:
-    spec = spec_from_json_dict(payload["spec"])
+    spec = payload["spec"]
     depths = [betti.oracle_depth_reg(h)[0] for h in spec.attachments]
     bound = formulas.depth_lower_bound_g2_binom(spec, depths)
     depth, _ = betti.oracle_depth_reg(spec.composite())
@@ -280,14 +272,14 @@ def _g2_depth_lower_binom(payload: dict) -> dict:
 
 
 def _g1_reg_upper(payload: dict) -> dict:
-    spec = spec_from_json_dict(payload["spec"])
+    spec = payload["spec"]
     bound = formulas.reg_upper_bound_g1(spec, 2)
     _, reg = betti.oracle_depth_reg(spec.composite())
     return _against(payload["id"], bound, reg)
 
 
 def _hypergraph_reg_lower(payload: dict) -> dict:
-    g = from_json_dict(payload["graph"])
+    g = payload["graph"]
     ideal = groebner.initial_ideal(g)
     bound, _ = invariants.hypergraph_induced_matching_bound(ideal)
     if payload.get("kind") == "labeling":
@@ -298,14 +290,14 @@ def _hypergraph_reg_lower(payload: dict) -> dict:
 
 
 def _gap_free_whisker_reg(payload: dict) -> dict:
-    spec = spec_from_json_dict(payload["spec"])
+    spec = payload["spec"]
     bound = formulas.reg_gapfree_whisker(spec.base)
     _, reg = betti.oracle_depth_reg(spec.composite())
     return _against(payload["id"], bound, reg)
 
 
 def _cm_classification(payload: dict) -> dict:
-    spec = spec_from_json_dict(payload["spec"])
+    spec = payload["spec"]
     cm_flags = [
         betti.oracle_depth_reg(h)[0] == decomposition.dimension(h, 2).value
         for h in spec.attachments
@@ -323,7 +315,7 @@ def _corona_dimension(payload: dict) -> dict:
         n, m = payload["n"], payload["m"]
         value = decomposition.dimension(graph_from_name(f"k{n}"), m).value
         return _record(payload["id"], n + m - 1, value, value == n + m - 1)
-    spec = spec_from_json_dict(payload["spec"])
+    spec = payload["spec"]
     dims = [decomposition.dimension(h, 2).value for h in spec.attachments]
     bound = formulas.dim_g2prime(spec, dims)
     dim = decomposition.dimension(spec.composite(), 2).value
@@ -331,7 +323,7 @@ def _corona_dimension(payload: dict) -> dict:
 
 
 def _exact_sequence(payload: dict) -> dict:
-    g = from_json_dict(payload["graph"])
+    g = payload["graph"]
     triple = decomposition.decompose_at_vertex(g, payload["v"])
     d0, r0 = betti.oracle_depth_reg(g)
     dv, rv = betti.oracle_depth_reg(triple.completed)
@@ -348,7 +340,7 @@ def _exact_sequence(payload: dict) -> dict:
 
 
 def _iv_drop(payload: dict) -> dict:
-    g = from_json_dict(payload["graph"])
+    g = payload["graph"]
     nonfree = non_free_vertices(g)
     iv0 = nonfree.bit_count()
     worst = -1

@@ -317,7 +317,7 @@ def _enumerate_specs(args):
     max_base = args.max_base if args.max_base is not None else 3
     bases = enumerate_connected_graphs(max_base)
     if args.cls == "g1":
-        return (whisker_on_set(g, s)[0] for g in bases for s in covering_sets(g))
+        return (whisker_on_set(g, s) for g in bases for s in covering_sets(g))
     attachments = args.attachments if args.attachments is not None else ",".join(ATTACHMENT_POOL)
     names = tuple(x.strip() for x in attachments.split(",") if x.strip())
     if not names or len(set(names)) != len(names):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, bits, from_edge_list, non_free_vertices
+from .graphs import Graph, bits, from_edge_list, from_json_dict, non_free_vertices, to_json_dict
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,6 @@ class GenCoronaSpec:
         return from_edge_list(off, edges)
 
     def to_json_dict(self) -> dict:
-        from .graphs import to_json_dict
-
         return {
             "base": to_json_dict(self.base),
             "S": list(self.attach_set),
@@ -62,8 +60,6 @@ class GenCoronaSpec:
 
 
 def spec_from_json_dict(obj) -> GenCoronaSpec:
-    from .graphs import from_json_dict
-
     if not isinstance(obj, dict) or not {"base", "S", "H"} <= set(obj):
         raise InputError("spec JSON must be an object with 'base', 'S', and 'H' keys")
     if not (isinstance(obj["S"], list) and isinstance(obj["H"], list)):
@@ -103,19 +99,18 @@ def covered_coronas(base: Graph, pool, max_total: int):
                 yield names, GenCoronaSpec(base, s, tuple(h for _, h in assign))
 
 
-def whisker(g: Graph) -> tuple[GenCoronaSpec, Graph]:
-    """Attach one pendant vertex to every vertex; vertex i gets pendant n+i."""
+def whisker(g: Graph) -> GenCoronaSpec:
+    """Attach one pendant vertex to every vertex; in the composite vertex i gets pendant n+i."""
     if g.n < 1:
         raise InputError("whisker needs a non-empty graph")
     return whisker_on_set(g, g.vertices())
 
 
-def whisker_on_set(g: Graph, s) -> tuple[GenCoronaSpec, Graph]:
+def whisker_on_set(g: Graph, s) -> GenCoronaSpec:
     """Attach one pendant vertex to each vertex of s (sorted for determinism)."""
     s = tuple(sorted(set(s)))
     k1 = from_edge_list(1, [])
-    spec = GenCoronaSpec(g, s, tuple(k1 for _ in s))
-    return spec, spec.composite()
+    return GenCoronaSpec(g, s, tuple(k1 for _ in s))
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,6 @@ class ClassMembership:
     witness: int | None
 
     def to_json_dict(self) -> dict:
-        from .graphs import to_json_dict
-
         return {
             "in_G1": self.in_g1,
             "in_G2": self.in_g2,

@@ -5,12 +5,14 @@ it takes a graph or a corona spec (plus any attachment depths or dimensions
 it needs), reads only the invariants its formula uses, and returns a
 BoundReport carrying the tag, the value, whether it bounds from below or
 above or is an equality, and the inputs it consumed.  Nothing in this module
-touches a Groebner basis.
+touches a Groebner basis, and no corona's composite D is built: every vertex
+of an attachment block is joined to that block's base vertex, so the blocks
+add no component, c(D) = c(base) and |V(D)| = ``spec.total_vertices()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .constructions import GenCoronaSpec, class_membership
 from .errors import InputError
@@ -35,12 +37,7 @@ class BoundReport:
     inputs: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "kind": self.kind,
-            "inputs": self.inputs,
-        }
+        return asdict(self)
 
 
 def _f_d_c(g: Graph) -> tuple[int, int, int]:
@@ -118,7 +115,7 @@ def depth_lower_bound_g2_gen(spec: GenCoronaSpec, m: int = 2) -> BoundReport:
     f_plus_d = [f + d for f, d, _ in map(_f_d_c, spec.attachments)]
     p = spec.base.n
     ell = len(spec.attach_set)
-    c = ncomponents(spec.composite())
+    c = ncomponents(spec.base)
     value = sum(f_plus_d) + p - ell + (m - 1) * c
     return BoundReport(
         "thm3.2",
@@ -149,14 +146,14 @@ def depth_equality_gprime(spec: GenCoronaSpec, m: int = 2, depth_of_h=None) -> B
         raise InputError("attachment set does not cover all non-free base vertices")
     if membership.in_gprime is not True:
         raise InputError("maximal-depth condition on the attachments is not certified")
-    d = spec.composite()
-    c = ncomponents(d)
-    value = d.n + (m - 1) * c
+    n = spec.total_vertices()
+    c = ncomponents(spec.base)
+    value = n + (m - 1) * c
     return BoundReport(
         "thm3.3",
         value,
         "equality",
-        {"n": d.n, "c": c, "m": m},
+        {"n": n, "c": c, "m": m},
     )
 
 
@@ -173,7 +170,7 @@ def depth_lower_bound_g2_binom(spec: GenCoronaSpec, depth_of_h) -> BoundReport:
         raise InputError("depth_of_h must list one depth per attachment")
     p = spec.base.n
     ell = len(spec.attach_set)
-    c = ncomponents(spec.composite())
+    c = ncomponents(spec.base)
     value = sum(depths) + p - ell + c
     return BoundReport(
         "thm3.5",

@@ -379,14 +379,15 @@ def parse_graph_name(name: str) -> tuple[str, int]:
     s = name.strip().lower()
     try:
         if s.endswith("k1") and len(s) > 2 and s[:-2].isdigit():
-            return "", int(s[:-2])
-        kind, num = s[0], s[1:]
+            kind, num = "", s[:-2]
+        else:
+            kind, num = s[0], s[1:]
         n = int(num)
         if n < 1:
             raise ValueError
     except (ValueError, IndexError):
         raise InputError(f"unknown graph name {name!r}") from None
-    if kind not in ("k", "p", "c"):
+    if kind not in ("", "k", "p", "c"):
         raise InputError(f"unknown graph name {name!r}")
     if kind == "c" and n < 3:
         raise InputError(f"cycle needs at least 3 vertices, got {name!r}")

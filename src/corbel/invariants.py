@@ -14,7 +14,7 @@ generator support e by |e| - 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .errors import CapError, InputError
@@ -142,19 +142,7 @@ class InvariantReport:
     kappa_complete_convention: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "isolated": self.isolated,
-            "diam_sum": self.diam_sum,
-            "d": self.d,
-            "f": self.f,
-            "iv": self.iv,
-            "im": self.im,
-            "gap_free": self.gap_free,
-            "kappa": self.kappa,
-            "kappa_complete_convention": self.kappa_complete_convention,
-        }
+        return asdict(self)
 
 
 def invariant_report(g: Graph) -> InvariantReport:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from corbel import betti
 from corbel.checks import CHECKS, g2_universe
 from corbel.cli import run_verification
-from corbel.constructions import spec_from_json_dict, whisker
+from corbel.constructions import whisker
 from corbel.errors import CapError
 from corbel.graphs import (
     canonical_form,
@@ -271,7 +271,7 @@ def _class_pairs():
     """Connected graphs on at most 5 vertices and W(P3), each with a seeded relabeling."""
     rng = random.Random(20260218)
     named = [(to_graph6(g), g) for g in enumerate_connected_graphs(5)]
-    named.append(("W(p3)", whisker(graph_from_name("p3"))[1]))
+    named.append(("W(p3)", whisker(graph_from_name("p3")).composite()))
     return [(k, g, _relabeled(g, rng)) for k, g in named]
 
 
@@ -365,7 +365,7 @@ def test_every_oracle_key_one_size_up_encodes_its_input():
     rng = random.Random(5)
     graphs = [spec.composite() for _, spec in g2_universe(max_total=10)]
     graphs = [g for g in graphs if g.n >= 9]
-    graphs += [whisker(g)[1] for g in enumerate_connected_graphs(5) if g.n == 5]
+    graphs += [whisker(g).composite() for g in enumerate_connected_graphs(5) if g.n == 5]
     assert len(graphs) == 75 + 21
     for g in graphs:
         _assert_key_encodes(g)
@@ -522,7 +522,7 @@ THM56 = CHECKS["thm5.6"].universe(CHECKS["thm5.6"].default)[1]
 
 @pytest.mark.parametrize("payload", THM56, ids=[p["id"] for p in THM56])
 def test_tree_table_equals_the_lattice_sum_on_default_coronas(payload):
-    ideal = betti._oracle_ideal(spec_from_json_dict(payload["spec"]).composite())
+    ideal = betti._oracle_ideal(payload["spec"].composite())
     assert betti_table(ideal) == _lattice_betti_table(ideal)
 
 

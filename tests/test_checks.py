@@ -37,7 +37,7 @@ def test_enumerate_g1_matches_the_partial_whisker_universe():
     streamed = enumerate_specs("--class", "g1", "--max-base", "4")
     _, payloads = CHECKS["thm4.2"].universe(4)
     assert len(streamed) == 59
-    assert sorted(map(canonical, streamed)) == sorted(canonical(p["spec"]) for p in payloads)
+    assert sorted(map(canonical, streamed)) == sorted(canonical(p["spec"].to_json_dict()) for p in payloads)
 
 
 def test_enumerate_g2_matches_g2_universe_up_to_base_labels():
@@ -60,6 +60,7 @@ BOUND_TAGS = [
     ("thm2.5", "depth_upper_bound_kappa", "upper", 27, 31),
     # 88 attained, plus the pinned counterexample
     ("thm3.2", "depth_lower_bound_g2_gen", "lower", 89, 89),
+    ("thm3.5", "depth_lower_bound_g2_binom", "lower", 89, 89),
     ("thm4.2", "reg_upper_bound_g1", "upper", 59, 59),
     ("thm3.3", "depth_equality_gprime", "equality", 10, 10),
     ("thm4.6", "reg_gapfree_whisker", "equality", 9, 9),
@@ -90,3 +91,27 @@ def test_a_bound_moved_by_one_fails_where_it_is_attained(
     run = run_verification(tag)
     assert {r["id"] for r in run.records if r["verdict"] == "fail"} == want
     assert (len(want), len(run.records)) == (failing, total)
+
+
+@pytest.mark.parametrize("shift,failing", [(1, 105), (-1, 104)])
+def test_the_dimension_formula_moved_by_one_fails_on_every_spec_record(
+    monkeypatch, sweep, shift, failing
+):
+    # lem5.1's 15 complete-graph records never read dim_g2prime, so they keep
+    # passing; its 105 spec records fail once the formula moves, except that at
+    # -1 the pinned double star, where the formula (9) exceeds the dimension
+    # (8) by one, passes
+    from test_acceptance import KNOWN_DIMENSION_FAILURE
+
+    spec_ids = {r["id"] for r in sweep("lem5.1").records if "|" in r["id"]}
+    formula = formulas.dim_g2prime
+
+    def moved(*args, **kwargs):
+        report = formula(*args, **kwargs)
+        return dataclasses.replace(report, value=report.value + shift)
+
+    monkeypatch.setattr(formulas, "dim_g2prime", moved)
+    run = run_verification("lem5.1")
+    want = spec_ids if shift > 0 else spec_ids - {KNOWN_DIMENSION_FAILURE}
+    assert {r["id"] for r in run.records if r["verdict"] == "fail"} == want
+    assert (len(want), len(run.records)) == (failing, 120)

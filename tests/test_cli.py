@@ -415,16 +415,28 @@ def test_real_pool_matches_the_serial_run(monkeypatch):
     assert pooled.records == serial.records
 
 
-def test_real_pool_matches_the_pinned_digest_where_classes_repeat(monkeypatch):
-    # thm3.2's 89 coronas fall into 40 isomorphism classes, so labelings of
-    # one class land in different workers, each with its own class cache
+def _pooled_digest_is_pinned(monkeypatch, tag: str) -> bool:
     from test_acceptance import RECORD_DIGESTS
 
     sizes = _real_pool_of_two(monkeypatch)
-    pooled = run_verification("thm3.2", jobs=2)
+    pooled = run_verification(tag, jobs=2)
     assert sizes == [2]
     digest = hashlib.sha256(json.dumps(pooled.records, sort_keys=True).encode()).hexdigest()
-    assert digest == RECORD_DIGESTS["thm3.2"]
+    return digest == RECORD_DIGESTS[tag]
+
+
+def test_real_pool_matches_the_pinned_digest_where_classes_repeat(monkeypatch):
+    # thm3.2's 89 coronas fall into 40 isomorphism classes, so labelings of
+    # one class land in different workers, each with its own class cache
+    assert _pooled_digest_is_pinned(monkeypatch, "thm3.2")
+
+
+@pytest.mark.parametrize("tag", ["thm4.3", "exact-seq", "lem5.1"])
+def test_real_pool_carries_graph_payloads_with_extra_keys(monkeypatch, tag):
+    # each payload crosses to a worker as its Graph or GenCoronaSpec beside
+    # plain keys: thm4.3's labeling "kind" and "p", exact-seq's vertex "v",
+    # and lem5.1's "complete" records, which carry no graph at all
+    assert _pooled_digest_is_pinned(monkeypatch, tag)
 
 
 def test_enumerate_streams_specs():
@@ -538,6 +550,8 @@ def test_enumerate_output_is_unchanged_by_explicit_defaults():
         # a name too large to fit is still checked, and so are the rest
         ("--class", "g2", "--max-total", "4", "--attachments", "k30000,c2"),
         ("--class", "g2", "--max-total", "4", "--attachments", "1000000000k1,x3"),
+        # a graph on no vertices is no attachment, and is refused before any line
+        ("--class", "g2", "--max-base", "2", "--max-total", "4", "--attachments", "0k1"),
     ],
 )
 def test_enumerate_rejects_bad_options(argv, tmp_path):

@@ -19,7 +19,8 @@ def edges_of(g):
 
 
 def test_whisker_p3_shape():
-    spec, comp = whisker(graph_from_name("p3"))
+    spec = whisker(graph_from_name("p3"))
+    comp = spec.composite()
     assert comp.n == 6
     assert edges_of(comp) == [(1, 2), (1, 4), (2, 3), (2, 5), (3, 6)]
     assert spec.attach_set == (1, 2, 3)
@@ -27,12 +28,13 @@ def test_whisker_p3_shape():
 
 
 def test_whisker_k2_is_p4():
-    _, comp = whisker(graph_from_name("k2"))
+    comp = whisker(graph_from_name("k2")).composite()
     assert canonical_form(comp) == canonical_form(graph_from_name("p4"))
 
 
 def test_whisker_on_set_shape():
-    spec, comp = whisker_on_set(graph_from_name("p3"), {1, 3})
+    spec = whisker_on_set(graph_from_name("p3"), {1, 3})
+    comp = spec.composite()
     assert comp.n == 5
     assert edges_of(comp) == [(1, 2), (1, 4), (2, 3), (3, 5)]
     assert spec.attach_set == (1, 3)
@@ -63,14 +65,14 @@ def test_non_free_vertices():
 
 
 def test_membership_full_whisker():
-    spec, _ = whisker(graph_from_name("p3"))
+    spec = whisker(graph_from_name("p3"))
     mem = class_membership(spec)
     assert mem.in_g1 and mem.in_g2 and mem.in_gprime
     assert mem.witness is None
 
 
 def test_membership_uncovered_vertex():
-    spec, _ = whisker_on_set(graph_from_name("p3"), {1, 3})
+    spec = whisker_on_set(graph_from_name("p3"), {1, 3})
     mem = class_membership(spec)
     assert not mem.in_g2
     assert not mem.in_g1
@@ -98,7 +100,7 @@ def test_membership_disconnected_attachment_stays_in_g2():
 
 
 def test_spec_json_round_trip():
-    spec, _ = whisker(graph_from_name("p3"))
+    spec = whisker(graph_from_name("p3"))
     assert spec_from_json_dict(spec.to_json_dict()) == spec
     doc = spec.to_json_dict()
     assert set(doc) == {"base", "S", "H"}

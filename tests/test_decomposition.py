@@ -118,7 +118,7 @@ def test_dimension_values():
     # complete graphs: n + m - 1
     assert dimension(graph_from_name("k3"), m=3).value == 5
     assert dimension(graph_from_name("k5"), m=4).value == 8
-    _, comp = whisker(graph_from_name("p3"))
+    comp = whisker(graph_from_name("p3")).composite()
     res = dimension(comp)
     assert res.value == 8
     assert bits(res.witness.vertices) == [2]
@@ -173,7 +173,8 @@ def test_decompose_at_vertex():
 
 
 def test_classify_cm_whisker_of_path_is_not_cm():
-    spec, comp = whisker(graph_from_name("p3"))
+    spec = whisker(graph_from_name("p3"))
+    comp = spec.composite()
     verdict = classify_cm(spec, cm_of_h=(True, True, True))
     assert not verdict.is_cm
     assert "not complete" in verdict.reason
@@ -183,7 +184,8 @@ def test_classify_cm_whisker_of_path_is_not_cm():
 
 
 def test_classify_cm_whisker_of_k2_is_cm():
-    spec, comp = whisker(graph_from_name("k2"))
+    spec = whisker(graph_from_name("k2"))
+    comp = spec.composite()
     verdict = classify_cm(spec, cm_of_h=(True, True))
     assert verdict.is_cm
     assert oracle_depth_reg(comp)[0] == dimension(comp).value == 5
@@ -220,7 +222,7 @@ def test_classify_cm_cone_routing():
 
 
 def test_classify_cm_rejects():
-    spec, _ = whisker(graph_from_name("k2"))
+    spec = whisker(graph_from_name("k2"))
     with pytest.raises(InputError):
         classify_cm(spec, cm_of_h=(True,))  # wrong arity
     with pytest.raises(InputError):

@@ -67,15 +67,15 @@ def test_depth_upper_bound_kappa():
 
 
 def test_depth_lower_bound_g2_gen():
-    wp3, _ = whisker(P3)
+    wp3 = whisker(P3)
     assert depth_lower_bound_g2_gen(wp3, 2).value == 7
     assert depth_lower_bound_g2_gen(wp3, 3).value == 8
-    wk2, _ = whisker(K2)
+    wk2 = whisker(K2)
     assert depth_lower_bound_g2_gen(wk2, 2).value == 5
 
 
 def test_depth_lower_bound_g2_gen_rejects():
-    not_covered, _ = whisker_on_set(P3, {1, 3})
+    not_covered = whisker_on_set(P3, {1, 3})
     with pytest.raises(InputError):
         depth_lower_bound_g2_gen(not_covered, 2)
     disconnected = GenCoronaSpec(K2, (1,), (graph_from_name("2k1"),))
@@ -84,8 +84,8 @@ def test_depth_lower_bound_g2_gen_rejects():
 
 
 def test_depth_equality_gprime():
-    assert depth_equality_gprime(whisker(K2)[0], 2).value == 5
-    assert depth_equality_gprime(whisker(P3)[0], 2).value == 7
+    assert depth_equality_gprime(whisker(K2), 2).value == 5
+    assert depth_equality_gprime(whisker(P3), 2).value == 7
     spec = GenCoronaSpec(K2, (1,), (P3,))
     rep = depth_equality_gprime(spec, 2, depth_of_h=(4,))
     assert rep.value == 6
@@ -102,13 +102,13 @@ def test_bounds_at_three_rows_meet_the_dimension_of_a_cm_ideal():
     assert dimension(two_k2, 3).value == 8
     assert depth_lower_bound_general(two_k2, 3).value == 8
     # W(2K1) is 2K2 again, labeled 13|24, now read as a whisker in G'
-    spec, composite = whisker(graph_from_name("2k1"))
-    assert composite.edges() == [(1, 3), (2, 4)]
+    spec = whisker(graph_from_name("2k1"))
+    assert spec.composite().edges() == [(1, 3), (2, 4)]
     assert depth_equality_gprime(spec, 3).value == 8
 
 
 def test_depth_lower_bound_g2_binom():
-    wp3, _ = whisker(P3)
+    wp3 = whisker(P3)
     assert depth_lower_bound_g2_binom(wp3, (2, 2, 2)).value == 7
     spec = GenCoronaSpec(K2, (1,), (P5,))
     assert depth_lower_bound_g2_binom(spec, (6,)).value == 8
@@ -122,10 +122,10 @@ def test_depth_lower_bound_g2_binom():
 
 
 def test_reg_upper_bound_g1():
-    assert reg_upper_bound_g1(whisker(K2)[0], 2).value == 3
-    assert reg_upper_bound_g1(whisker(P5)[0], 2).value == 7
+    assert reg_upper_bound_g1(whisker(K2), 2).value == 3
+    assert reg_upper_bound_g1(whisker(P5), 2).value == 7
     # for m at least the variable-pair count the cap takes over
-    assert reg_upper_bound_g1(whisker(K2)[0], 10).value == 3
+    assert reg_upper_bound_g1(whisker(K2), 10).value == 3
     not_g1 = GenCoronaSpec(K2, (1,), (P3,))
     with pytest.raises(InputError):
         reg_upper_bound_g1(not_g1, 2)
@@ -144,10 +144,10 @@ def test_reg_gapfree_whisker():
 def test_dim_g2prime():
     spec = GenCoronaSpec(K2, (1,), (P3,))
     assert dim_g2prime(spec, (4,)).value == 6
-    assert dim_g2prime(whisker(K2)[0], (2, 2)).value == 5
+    assert dim_g2prime(whisker(K2), (2, 2)).value == 5
     assert dim_g2prime(GenCoronaSpec(K3, (), ()), ()).value == 4
     with pytest.raises(InputError):
-        dim_g2prime(whisker(P3)[0], (2, 2, 2))  # base not complete
+        dim_g2prime(whisker(P3), (2, 2, 2))  # base not complete
 
 
 def _spec(instance_id):

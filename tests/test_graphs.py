@@ -46,7 +46,7 @@ def test_named_graphs():
     assert graph_from_name("3k1").n == 3
 
 
-@pytest.mark.parametrize("bad", ["q7", "k0", "c2", "", "p"])
+@pytest.mark.parametrize("bad", ["q7", "k0", "c2", "", "p", "0k1", "00k1"])
 def test_named_graph_rejects(bad):
     with pytest.raises(InputError):
         graph_from_name(bad)
@@ -245,7 +245,7 @@ def _petersen():
         ("c9", graph_from_name("c9")),
         ("k8", graph_from_name("k8")),
         ("petersen", _petersen()),
-        ("W(C6)", whisker(graph_from_name("c6"))[1]),
+        ("W(C6)", whisker(graph_from_name("c6")).composite()),
     ],
 )
 def test_canonical_form_on_graphs_the_permutation_walk_could_not_reach(name, g):

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from corbel import groebner
 from corbel.checks import CHECKS
-from corbel.constructions import spec_from_json_dict
 from corbel.errors import CapError, InputError
 from corbel.graphs import enumerate_connected_graphs, from_edge_list, graph_from_name, to_graph6
 from corbel.groebner import (
@@ -137,7 +136,7 @@ _, _WHISKER_PAYLOADS = CHECKS["thm3.3"].universe(5)
 @pytest.mark.parametrize("payload", _WHISKER_PAYLOADS, ids=[p["id"] for p in _WHISKER_PAYLOADS])
 def test_buchberger_agrees_on_whiskers(payload):
     # the whiskers of verify thm3.3 --max-base 5: up to 10 vertices, 20 variables
-    g = spec_from_json_dict(payload["spec"]).composite()
+    g = payload["spec"].composite()
     assert buchberger_oracle(g) == initial_ideal(g)
     h = _relabeled(g, random.Random(payload["id"]))
     assert buchberger_oracle(h) == initial_ideal(h)
@@ -168,7 +167,7 @@ def test_buchberger_agrees_on_dense_random_graphs():
 
 def test_whisker_universe_size():
     assert len(_WHISKER_PAYLOADS) == 31
-    assert max(spec_from_json_dict(p["spec"]).composite().n for p in _WHISKER_PAYLOADS) == 10
+    assert max(p["spec"].composite().n for p in _WHISKER_PAYLOADS) == 10
 
 
 # --- packed monomials against their exponent-tuple definitions --------------
