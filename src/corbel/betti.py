@@ -326,6 +326,12 @@ def sr_dimension(ideal: MonomialIdealSF) -> int:
 _oracle_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+def reset() -> None:
+    """Forget every memoized result."""
+    _oracle_cache.clear()
+    _cluster_cache.clear()
+
+
 def _bfs_order(g: Graph, start: int) -> list[int]:
     """Breadth-first order from start, neighbours by (degree, label).
 
@@ -389,7 +395,8 @@ def oracle_depth_reg(g: Graph) -> tuple[int, int]:
     square-free Groebner degenerations), and hence do not depend on the
     labeling; its lcm lattice does, by several times.  Results are cached
     per isomorphism class, under ``canonical_form(g)``, so a relabeling of
-    a graph already resolved builds no second table.
+    a graph already resolved builds no second table.  The caches last one
+    ``corbel verify`` run; a library caller can empty them with ``reset()``.
     """
     if 2 * g.n > BETTI_VAR_CAP:
         raise CapError("betti table capped", size=2 * g.n, cap=BETTI_VAR_CAP)

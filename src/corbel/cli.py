@@ -111,8 +111,11 @@ def run_verification(tag: str, jobs: int = 1, **opts) -> VerificationRun:
     size = opts.get(check.size, check.default)
     if size < 1:
         raise UsageError(f"{flag} must be at least 1, got {size}")
+    betti.reset()
     start = time.perf_counter()
     universe, payloads = check.universe(size)
+    if not payloads:
+        raise UsageError(f"{tag} {flag} {size} sweeps no instance")
     workers = min(jobs, _usable_cpus(), len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

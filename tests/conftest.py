@@ -2,16 +2,25 @@
 
 Verification sweeps are the expensive part of the suite, so one session-wide
 cache hands the same VerificationRun to every test that asks for a tag.
+Every test starts and ends with an empty oracle memo, as a verify run does.
 """
 
 import pytest
 
+from corbel import betti
 from corbel.cli import run_verification
 
 _CACHE: dict = {}
 
 # acceptance tests append one line each; printed after the run summary
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def fresh_oracle():
+    betti.reset()
+    yield
+    betti.reset()
 
 
 @pytest.fixture(scope="session")

@@ -290,14 +290,13 @@ def test_oracle_matches_the_input_labels(g):
 @pytest.mark.parametrize("g,h", [p[1:] for p in CLASS_PAIRS], ids=[p[0] for p in CLASS_PAIRS])
 def test_class_cache_answers_as_a_fresh_call_under_each_labeling(monkeypatch, g, h):
     # the graph and its relabeling build one table between them
-    monkeypatch.setattr(betti, "_oracle_cache", {})
     built = []
     monkeypatch.setattr(betti, "betti_table", lambda ideal: built.append(ideal) or betti_table(ideal))
     cached = [oracle_depth_reg(g), oracle_depth_reg(h)]
     assert len(built) == 1
     fresh = []
     for x in (g, h):
-        betti._oracle_cache.clear()
+        betti.reset()
         fresh.append(oracle_depth_reg(x))
     assert cached == fresh
 
@@ -474,7 +473,6 @@ HOMOLOGY_CASES += [(s, _random_covering_antichain(_rng, s)) for s in (_rng.randi
 
 @pytest.mark.parametrize("s,gens", HOMOLOGY_CASES)
 def test_cluster_e_vector_matches_every_face_homology(s, gens):
-    betti._cluster_cache.clear()
     e = list(betti._e_vector((1 << s) - 1, list(gens)))
     ref = _reference_e_vector(s, gens)
     width = max(len(e), len(ref))
@@ -484,7 +482,6 @@ def test_cluster_e_vector_matches_every_face_homology(s, gens):
 @pytest.mark.parametrize("s", range(2, 7))
 def test_simplex_boundary_survives_the_strip(s):
     # no link in the boundary of a simplex is a cone, so its sphere is kept
-    betti._cluster_cache.clear()
     assert betti._e_vector((1 << s) - 1, [(1 << s) - 1]) == (0,) * (s - 1) + (1,)
 
 
@@ -492,7 +489,6 @@ def test_a_restriction_on_other_vertex_bits_hits_the_same_cache_entry():
     # the independence complex of a 6-cycle, two circles at a point: no
     # vertex is a cone apex and no link is a cone
     cycle = [0b000011, 0b000110, 0b001100, 0b011000, 0b110000, 0b100001]
-    betti._cluster_cache.clear()
     e = betti._e_vector(0b111111, cycle)
     entries = len(betti._cluster_cache)
     # the same restriction on bits 1, 3, 4, 7, 9, 12, in the same order

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from corbel import formulas
+from corbel import formulas, invariants
 from corbel.checks import CHECKS, g2_universe
 from corbel.cli import main, run_verification
 
@@ -91,6 +91,28 @@ def test_a_bound_moved_by_one_fails_where_it_is_attained(
     run = run_verification(tag)
     assert {r["id"] for r in run.records if r["verdict"] == "fail"} == want
     assert (len(want), len(run.records)) == (failing, total)
+
+
+@pytest.mark.parametrize("shift,labeled,failing", [(1, False, 31), (-1, True, 3)])
+def test_the_matching_bound_moved_by_one_fails_where_it_is_attained(
+    monkeypatch, sweep, shift, labeled, failing
+):
+    # thm4.3's bound is attained on all 34 records: raised, it passes the
+    # oracle's reg on the 31 graphs; lowered, it falls short of p + 1 on the
+    # 3 labeled whiskers
+    records = sweep("thm4.3").records
+    assert all(r["formula"] == r["oracle"] for r in records)
+    want = {r["id"] for r in records if r["id"].startswith("labeled:") == labeled}
+    bound = invariants.hypergraph_induced_matching_bound
+
+    def moved(ideal):
+        value, witness = bound(ideal)
+        return value + shift, witness
+
+    monkeypatch.setattr(invariants, "hypergraph_induced_matching_bound", moved)
+    run = run_verification("thm4.3")
+    assert {r["id"] for r in run.records if r["verdict"] == "fail"} == want
+    assert (len(want), len(run.records)) == (failing, 34)
 
 
 @pytest.mark.parametrize("shift,failing", [(1, 105), (-1, 104)])

@@ -17,7 +17,7 @@ from corbel import betti, cli
 from corbel.checks import CHECKS
 from corbel.cli import main, run_verification
 from corbel.errors import UsageError
-from corbel.graphs import from_edge_list, to_graph6
+from corbel.graphs import from_edge_list, graph_from_name, to_graph6
 
 
 def run_cli(*argv):
@@ -333,6 +333,11 @@ def test_verify_rejects_jobs_below_one(jobs):
         ("thm2.4", {"max_n": 0}),
         ("thm2.4", {"max_n": -1}),
         ("thm3.2", {"max_n": 3}),
+        # sizes whose universe is empty: a sweep that tests nothing must not pass
+        ("thm3.2", {"max_total": 1}),
+        ("thm5.6", {"max_total": 1}),
+        ("thm4.6", {"max_base": 1}),
+        ("exact-seq", {"max_n": 2}),
     ],
 )
 def test_verify_rejects_bad_size_options(tag, opts):
@@ -389,6 +394,17 @@ def test_pool_is_clamped_to_cpus_and_instances(monkeypatch):
     assert sizes == [3, 2]
 
 
+def test_each_verify_run_starts_from_an_empty_engine(monkeypatch):
+    # C5's class is resolved before the run; the run must still build one
+    # table for each of the 31 classes, C5's included
+    betti.oracle_depth_reg(graph_from_name("c5"))
+    built = []
+    table = betti.betti_table
+    monkeypatch.setattr(betti, "betti_table", lambda ideal: built.append(ideal) or table(ideal))
+    run = run_verification("thm2.4")
+    assert len(run.records) == len(built) == 31
+
+
 def _real_pool_of_two(monkeypatch) -> list:
     """Record each real pool's size; workers start from empty caches."""
     sizes = []
@@ -400,9 +416,6 @@ def _real_pool_of_two(monkeypatch) -> list:
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    # so the workers compute every record themselves
-    monkeypatch.setattr(betti, "_oracle_cache", {})
-    monkeypatch.setattr(betti, "_cluster_cache", {})
     return sizes
 
 
